@@ -4,10 +4,10 @@
 // multithreaded through SweepRunner; per-point savings are aggregated
 // across seeds (mean / spread / CI), so the headline numbers come with
 // their layout sensitivity attached.
-#include <chrono>
 #include <cstddef>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
@@ -45,89 +45,13 @@ CrowdConfig scale_point(std::size_t phones) {
   return config;
 }
 
-/// Grid-vs-legacy medium comparison: the same seeded crowd answered by
-/// the spatial-grid world index and by the legacy linear-scan medium
-/// (bit-identical results, different wall clock). Events/sec old vs
-/// new, written machine-readably like perf_kernel's kernel report.
-void run_medium_comparison(std::size_t phones, double duration_s) {
-  CrowdConfig config = scale_point(phones);
-  config.duration_s = duration_s;
-  config.seed = 101;
-  // Periodic relay re-assessment keeps connected UEs scanning for the
-  // whole run — the discovery-dominated regime where the medium's
-  // query structure decides throughput.
-  config.reassess_interval_s = 60.0;
-
-  auto timed = [&](bool legacy) {
-    CrowdConfig arm = config;
-    arm.legacy_scan = legacy;
-    const auto t0 = std::chrono::steady_clock::now();
-    const CrowdMetrics m = run_d2d_crowd(arm);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    return std::pair<double, CrowdMetrics>{
-        static_cast<double>(m.sim_events) / s, m};
-  };
-
-  std::cout << "\nMedium comparison (grid vs legacy linear scan), "
-            << phones << " phones, " << duration_s << " s simulated:\n";
-  const auto [grid_eps, grid_m] = timed(false);
-  const auto [legacy_eps, legacy_m] = timed(true);
-  const double speedup = legacy_eps == 0.0 ? 0.0 : grid_eps / legacy_eps;
-  if (grid_m.total_l3 != legacy_m.total_l3 ||
-      grid_m.sim_events != legacy_m.sim_events) {
-    std::cerr << "warning: grid and legacy runs diverged "
-              << "(L3 " << grid_m.total_l3 << " vs " << legacy_m.total_l3
-              << ", events " << grid_m.sim_events << " vs "
-              << legacy_m.sim_events << ")\n";
-  }
-
-  std::string path = "BENCH_crowd_medium.json";
-  if (const char* dir = std::getenv("D2DHB_CSV_DIR")) {
-    if (*dir != '\0') path = std::string(dir) + "/" + path;
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "warning: cannot write " << path << '\n';
-  } else {
-    out << "{\n"
-        << "  \"workload\": \"crowd_discovery_medium\",\n"
-        << "  \"phones\": " << phones << ",\n"
-        << "  \"duration_s\": " << duration_s << ",\n"
-        << "  \"reassess_interval_s\": " << config.reassess_interval_s
-        << ",\n"
-        << "  \"sim_events\": " << grid_m.sim_events << ",\n"
-        << "  \"results_identical\": "
-        << ((grid_m.total_l3 == legacy_m.total_l3 &&
-             grid_m.sim_events == legacy_m.sim_events)
-                ? "true"
-                : "false")
-        << ",\n"
-        << "  \"new_grid_events_per_sec\": " << grid_eps << ",\n"
-        << "  \"old_scan_events_per_sec\": " << legacy_eps << ",\n"
-        << "  \"speedup\": " << speedup << "\n"
-        << "}\n";
-  }
-  std::cout << "grid " << static_cast<std::uint64_t>(grid_eps)
-            << " ev/s vs legacy scan "
-            << static_cast<std::uint64_t>(legacy_eps) << " ev/s -> "
-            << speedup << "x\n(json written to " << path << ")\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --smoke       small fixed point for the CI scaling smoke (golden
-  //               metrics diff); skips the storm section.
-  // --compare N   grid-vs-legacy medium comparison at N phones
-  //               (--compare-duration S simulated seconds, default 120)
-  //               writing BENCH_crowd_medium.json.
+  // --smoke  small fixed point for the CI scaling smoke (golden metrics
+  //          diff); skips the storm section.
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
-  const auto compare_phones = static_cast<std::size_t>(
-      bench::flag_number(argc, argv, "--compare", 0.0));
-  const double compare_duration =
-      bench::flag_number(argc, argv, "--compare-duration", 120.0);
-  // Shared crowd knobs (--shards, --duration, ...) overlay every point.
+  // Shared crowd knobs (--threads, --duration, ...) overlay every point.
   CliFlags crowd_flags{argc, argv};
   auto with_overrides = [&crowd_flags, argv](CrowdConfig config) {
     if (const std::string error = apply_crowd_flags(crowd_flags, config);
@@ -200,9 +124,6 @@ int main(int argc, char** argv) {
   std::cout << "\nFirst-seed detail:\n";
   bench::emit(detail, "crowd_scale_detail");
 
-  if (compare_phones > 0) {
-    run_medium_comparison(compare_phones, compare_duration);
-  }
   if (smoke) return 0;
 
   std::cout << "\nSynchronized storm (all first beats within ~3 s):\n";

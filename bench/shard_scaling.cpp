@@ -31,7 +31,6 @@ using namespace d2dhb::scenario;
 struct ThreadArm {
   std::string arm;  ///< "medium" (the headline) or "smoke" (toy run).
   std::size_t threads{0};
-  std::size_t shards{0};  ///< The concurrency cap, not the kernel count.
   std::size_t kernels{0};
   double wall_s{0.0};
   double events_per_sec{0.0};
@@ -58,7 +57,6 @@ ThreadArm run_arm(const std::string& arm, const CrowdConfig& base,
   ThreadArm r;
   r.arm = arm;
   r.threads = threads;
-  r.shards = config.shards;
   r.kernels = kernels_for(config);
   r.wall_s = s;
   r.events_per_sec =
@@ -93,7 +91,7 @@ void emit_counter_array(std::ostream& out, const char* key,
 
 void emit_arm_json(std::ostream& out, const ThreadArm& r, bool last) {
   out << "    {\"arm\": \"" << r.arm << "\", \"threads\": " << r.threads
-      << ", \"shards\": " << r.shards << ", \"kernels\": " << r.kernels
+      << ", \"kernels\": " << r.kernels
       << ", \"phones\": " << r.metrics.phones
       << ", \"sim_events\": " << r.metrics.sim_events
       << ", \"wall_s\": " << r.wall_s
@@ -177,7 +175,6 @@ int main(int argc, char** argv) {
     for (const std::size_t threads : {1u, 4u}) {
       CrowdConfig arm = medium;
       if (threads == 4 && !trace_out.empty()) {
-        arm.profile = true;
         arm.profiler = &profiler;
       }
       results.push_back(run_arm("medium", arm, threads));

@@ -7,14 +7,14 @@
 // Node state (position source, D2D slot) lives in the world::NodeTable
 // dense-state layer shared with the Scenario and operator selection;
 // the medium itself keeps only a compact radio array, with the table's
-// d2d_slot column mapping NodeId → array index. Proximity queries
-// (discovery scans, range-exit sweeps) go through the
-// mobility::SpatialGrid world index instead of walking every radio —
-// the difference between O(population) and O(neighbourhood) per scan
-// at crowd scale. A legacy linear-scan path is kept behind
-// Params::legacy_scan for the grid-vs-scan ablation; both paths visit
-// peers in ascending NodeId order and draw the RNG identically, so a
-// seeded run is bit-identical whichever path answers it.
+// d2d_slot column mapping NodeId → array index. Discovery scans go
+// through the mobility::SpatialGrid world index instead of walking
+// every radio — the difference between O(population) and
+// O(neighbourhood) per scan at crowd scale — and it is the only scan
+// path. A strip's grid has the D2D range as its cell size, so one ring
+// of neighbour cells covers every scan, and it returns peers in
+// ascending NodeId order, so the RNG draws follow a fixed peer order.
+// Range-exit sweeps check each linked peer's distance directly.
 //
 // Strip confinement: every node is homed to a world strip (its
 // NodeTable shard column, fixed when the node is added) and D2D only
@@ -68,13 +68,6 @@ class WifiDirectMedium {
     /// A group owner accepts at most this many clients (Android GOs top
     /// out around 8); further connect attempts are refused.
     std::size_t max_group_clients{8};
-    /// World-index cell size in meters; 0 picks the D2D range (one
-    /// neighbour-ring then covers every scan). Exposed for the grid
-    /// ablation (`d2dhb_sim crowd --grid-cell`).
-    double grid_cell_m{0.0};
-    /// Ablation: answer scans by walking the whole node table (in
-    /// NodeId order) instead of querying the grid.
-    bool legacy_scan{false};
   };
 
   /// `nodes` is the world's shared dense-state table; radios attaching

@@ -8,13 +8,6 @@
 
 namespace d2dhb::d2d {
 
-namespace {
-Meters grid_cell(const WifiDirectMedium::Params& params) {
-  return params.grid_cell_m > 0.0 ? Meters{params.grid_cell_m}
-                                  : params.range;
-}
-}  // namespace
-
 WifiDirectMedium::WifiDirectMedium(sim::Simulator& sim,
                                    world::NodeTable& nodes, Params params,
                                    Rng rng)
@@ -23,8 +16,7 @@ WifiDirectMedium::WifiDirectMedium(sim::Simulator& sim,
   grids_.reserve(strips);
   scratch_.resize(strips);
   for (std::size_t s = 0; s < strips; ++s) {
-    grids_.push_back(
-        std::make_unique<mobility::SpatialGrid>(grid_cell(params_)));
+    grids_.push_back(std::make_unique<mobility::SpatialGrid>(params_.range));
   }
   // One rng lane per strip; the last lane keeps the medium's original
   // rng untouched, so a one-strip world draws exactly the classic
@@ -173,46 +165,23 @@ std::vector<DiscoveredPeer> WifiDirectMedium::scan_from(NodeId scanner) {
   Lane& lane = lanes_[strip];
   const mobility::Vec2 origin = nodes_.position_of(scanner, sim_.now());
 
-  // Both paths visit peers in ascending NodeId order with identical
-  // distance arithmetic and RNG draws, so a seeded run's behaviour is
-  // bit-identical whichever one answers the scan (asserted by the
-  // grid-equivalence integration test). Both are confined to the
-  // scanner's strip: the grid path by construction (a strip's grid only
-  // holds its own nodes), the legacy path by an explicit home-strip
-  // filter applied before any position is read.
-  auto admit = [&](NodeId node, Meters d) {
-    const WifiDirectRadio* peer_radio = radios_[nodes_.d2d_slot(node)];
-    if (!peer_radio->listening()) return;
-    if (lane.rng.chance(params_.discovery_miss_probability)) return;
-    const double noise = lane.rng.normal(0.0, params_.rssi_noise_stddev_m);
-    DiscoveredPeer peer;
-    peer.node = node;
-    peer.estimated_distance = Meters{std::max(0.0, d.value + noise)};
-    peer.advert = peer_radio->advert();
-    found.push_back(peer);
-  };
-
-  if (params_.legacy_scan) {
-    for (std::uint64_t id = 1; id < nodes_.id_limit(); ++id) {
-      const NodeId node{id};
-      if (id == scanner.value || !nodes_.contains(node) ||
-          nodes_.d2d_slot(node) == world::kNoD2dSlot ||
-          strip_of(node) != strip) {
-        continue;
-      }
-      const Meters d = mobility::distance(
-          origin, nodes_.position_of(node, sim_.now()));
-      if (d.value > params_.range.value) continue;
-      admit(node, d);
-    }
-    return found;
-  }
-
+  // The strip's grid only holds nodes homed to this strip, so the query
+  // is strip-confined by construction, and it yields peers in ascending
+  // NodeId order, which fixes the order of the lane's RNG draws.
   std::vector<mobility::SpatialGrid::Neighbor>& scratch = scratch_[strip];
   grids_[strip]->query_radius(origin, params_.range, sim_.now(),
                               sim_.time_epoch(), scratch, scanner);
   for (const auto& neighbor : scratch) {
-    admit(neighbor.node, neighbor.distance);
+    const WifiDirectRadio* peer_radio = radios_[nodes_.d2d_slot(neighbor.node)];
+    if (!peer_radio->listening()) continue;
+    if (lane.rng.chance(params_.discovery_miss_probability)) continue;
+    const double noise = lane.rng.normal(0.0, params_.rssi_noise_stddev_m);
+    DiscoveredPeer peer;
+    peer.node = neighbor.node;
+    peer.estimated_distance =
+        Meters{std::max(0.0, neighbor.distance.value + noise)};
+    peer.advert = peer_radio->advert();
+    found.push_back(peer);
   }
   return found;
 }
@@ -222,7 +191,7 @@ std::vector<NodeId> WifiDirectMedium::lost_peers(
   std::vector<NodeId> lost;
   if (peers.empty()) return lost;
   if (radio(node) == nullptr) return peers;  // we vanished: all links gone
-  // Per-peer exact checks, same in both medium modes: a node's links
+  // Per-peer exact checks rather than a grid query: a node's links
   // are bounded by max_group_clients (8), so O(links) distance checks
   // beat a radius query (O(neighbourhood), which in a dense cluster is
   // far larger) — and this sweep runs every poll tick for every radio.

@@ -46,12 +46,10 @@ struct CityConfig {
   /// Ablation: per-object heap allocation instead of the pooled
   /// per-strip arenas (byte-identical results, different layout).
   bool heap_agents{false};
-  /// Record engine runtime spans (sim::RunOptions::profile): fills
-  /// CityMetrics::profile. Observational only — results are
-  /// byte-identical with it on or off.
-  bool profile{false};
-  /// Caller-owned span recorder (implies `profile`); keeps the merged
-  /// spans for Chrome-trace export after the run.
+  /// Caller-owned span recorder (sim::RunOptions::profiler): fills
+  /// CityMetrics::profile and keeps the merged spans for Chrome-trace
+  /// export after the run. Observational only — results are
+  /// byte-identical with or without it.
   sim::Profiler* profiler{nullptr};
   std::uint64_t seed{11};
 };
@@ -82,7 +80,8 @@ struct CityMetrics {
   /// O(phones) — safe at city scale, deterministic across threads.
   std::vector<std::uint64_t> shard_events_executed;
   std::vector<std::uint64_t> shard_mailbox_delivered;
-  /// Runtime profile summary (enabled=false unless CityConfig asked).
+  /// Runtime profile summary (enabled=false unless CityConfig::profiler
+  /// was set).
   sim::ProfileSummary profile;
 };
 

@@ -45,28 +45,17 @@ struct CrowdConfig {
   /// spread. Small values synchronize the crowd — the "signaling storm"
   /// worst case where every phone hits the control channel at once.
   double stagger_fraction{0.8};
-  /// World-index cell size for the D2D medium in meters (0 = the D2D
-  /// range). Exposed for the grid ablation (`d2dhb_sim crowd
-  /// --grid-cell`).
-  double grid_cell_m{0.0};
-  /// Ablation: answer discovery/range queries with the legacy linear
-  /// scan instead of the spatial grid (seeded runs are bit-identical
-  /// either way; only the speed differs).
-  bool legacy_scan{false};
   /// Connected UEs re-scan every this many seconds and switch to a
   /// markedly closer relay (core::UeAgent::Params::reassess_interval).
   /// Zero disables re-assessment. Periodic re-scans make discovery the
   /// dominant event class at scale — the scaling benches use this.
   double reassess_interval_s{0.0};
-  /// Executor concurrency cap: at most this many of the world's kernels
-  /// may run in parallel. The partition itself is geometric — one
-  /// vertical strip per 120 m of area width, each phone homed to the
-  /// strip owning its initial position — so neither this value nor
-  /// `threads` ever changes results; the shard-equivalence gate holds
-  /// the executor to that. The default places no cap.
-  std::size_t shards{256};
   /// Worker threads driving the kernels (1 = serial execution; capped
-  /// by `shards` and by the world's strip count).
+  /// by the world's strip count). The partition itself is geometric —
+  /// one vertical strip per 120 m of area width, each phone homed to
+  /// the strip owning its initial position — so the thread count never
+  /// changes results; the shard-equivalence gate holds the executor to
+  /// that.
   std::size_t threads{1};
   /// Ablation: one heap allocation per agent object instead of the
   /// pooled per-strip arenas (Scenario::Params::agent_memory). Seeded
@@ -74,13 +63,11 @@ struct CrowdConfig {
   /// footprint differ — the arena-vs-heap equivalence gate holds the
   /// arena layer to that.
   bool heap_agents{false};
-  /// Record engine runtime spans (sim::RunOptions::profile): fills
-  /// CrowdMetrics::profile and the registry's runtime/ namespace.
+  /// Caller-owned span recorder (sim::RunOptions::profiler). When set,
+  /// the run fills CrowdMetrics::profile and the registry's runtime/
+  /// namespace and keeps the merged spans for Chrome-trace export.
   /// Purely observational — deterministic results are byte-identical
-  /// with it on or off.
-  bool profile{false};
-  /// Caller-owned span recorder (implies `profile`); pass one to keep
-  /// the merged spans for Chrome-trace export after the run.
+  /// with or without it.
   sim::Profiler* profiler{nullptr};
   std::uint64_t seed{7};
 };
@@ -136,7 +123,7 @@ struct CrowdMetrics {
   std::vector<std::uint64_t> shard_events_executed;
   std::vector<std::uint64_t> shard_mailbox_delivered;
   /// Runtime profile summary (host wall-clock; enabled=false unless
-  /// CrowdConfig::profile/profiler asked for it).
+  /// CrowdConfig::profiler was set).
   sim::ProfileSummary profile;
   /// Full registry snapshot taken at the end of the run (every counter,
   /// gauge, and histogram the substrates registered). A profiled run

@@ -1,13 +1,12 @@
 // Shared command-line parsing for crowd experiments.
 //
 // Every driver that runs a crowd — the d2dhb_sim CLI and the scaling /
-// storm benches — exposes the same CrowdConfig knobs. Before this
-// helper each driver hand-rolled its own subset (and new knobs like
-// --shards had to be wired into each one separately); now a single
-// flag table maps names onto CrowdConfig fields, and drivers layer
-// their own flags (--smoke, --metrics-out, --seeds) on top.
+// storm benches — exposes the same CrowdConfig knobs through one flag
+// table that maps names onto CrowdConfig fields; drivers layer their
+// own flags (--smoke, --metrics-out, --seeds, --profile) on top.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,8 +28,13 @@ class CliFlags {
   bool has(const std::string& name);
   /// Value following `--name` (marks both consumed); nullopt if absent.
   std::optional<std::string> value(const std::string& name);
-  /// Value of `--name` parsed as a double; `fallback` when absent.
+  /// Value of `--name` parsed (whole token) as a finite double, or as
+  /// a non-negative integer; `fallback` when absent or malformed.
   double number(const std::string& name, double fallback);
+  std::uint64_t count(const std::string& name, std::uint64_t fallback);
+  /// The first malformed value number()/count() saw, as a message
+  /// ("--phones: expected a non-negative integer, got 'abc'"), or "".
+  const std::string& error() const { return error_; }
 
   /// Every argument starting with "--" that no lookup consumed.
   std::vector<std::string> leftover() const;
@@ -38,16 +42,17 @@ class CliFlags {
  private:
   std::vector<std::string> args_;
   std::vector<bool> used_;
+  std::string error_;
 };
 
 /// Applies every recognized crowd knob onto `config`:
 ///   --phones N --relay-fraction F --area M --duration S --mobile
 ///   --policy greedy|random|density|first-n --cell-grid N
-///   --grid-cell M --legacy-scan --reassess S --shards N --threads N
-///   --heap-agents --seed S
-/// Returns an error message ("unknown --policy: x", "--shards must be
-/// in [1, 256]") or the empty string on success. Flags not present
-/// leave their field untouched, so drivers can pre-load defaults.
+///   --reassess S --threads N --heap-agents --seed S
+/// Returns an error message ("unknown --policy: x", "--threads must be
+/// at least 1", "--phones: expected a non-negative integer, got '-3'")
+/// or the empty string on success. Flags not present leave their field
+/// untouched, so drivers can pre-load defaults.
 std::string apply_crowd_flags(CliFlags& flags, CrowdConfig& config);
 
 /// One usage line per crowd knob, for drivers' --help text.

@@ -137,7 +137,6 @@ CityMetrics run_city(Scenario& world, const CityConfig& config) {
   const TimePoint end = TimePoint{} + seconds(config.duration_s);
   sim::RunOptions options;
   options.threads = config.threads;
-  options.profile = config.profile;
   options.profiler = config.profiler;
   const sim::RunStats run_stats = sim::run(world.sim(), end, options);
 

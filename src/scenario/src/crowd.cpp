@@ -31,8 +31,8 @@ std::unique_ptr<mobility::MobilityModel> make_mobility(
 /// strip confinement only trims boundary-band pairs), floored at one
 /// strip and capped by the event-id encoding. Every config decides its
 /// own partition this way, which is what keeps results independent of
-/// CrowdConfig::shards/threads: those only say how much of the
-/// partition may execute concurrently.
+/// CrowdConfig::threads: it only says how much of the partition may
+/// execute concurrently.
 std::size_t strip_count(const CrowdConfig& config) {
   const auto strips = static_cast<std::size_t>(config.area_m / 120.0);
   return std::clamp<std::size_t>(strips, 1, sim::EventKernel::kMaxShards);
@@ -42,8 +42,6 @@ Scenario::Params world_params(const CrowdConfig& config,
                               std::vector<mobility::Vec2> sites) {
   Scenario::Params params;
   params.seed = config.seed;
-  params.medium.grid_cell_m = config.grid_cell_m;
-  params.medium.legacy_scan = config.legacy_scan;
   params.cell_sites = std::move(sites);
   params.shard_plan =
       world::ShardPlan{strip_count(config), 0.0, config.area_m};
@@ -55,9 +53,7 @@ Scenario::Params world_params(const CrowdConfig& config,
 sim::RunStats run_world(Scenario& world, const CrowdConfig& config) {
   const TimePoint end = TimePoint{} + seconds(config.duration_s);
   sim::RunOptions options;
-  options.shards = config.shards;
   options.threads = config.threads;
-  options.profile = config.profile;
   options.profiler = config.profiler;
   return sim::run(world.sim(), end, options);
 }

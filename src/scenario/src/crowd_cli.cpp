@@ -1,6 +1,9 @@
 #include "scenario/crowd_cli.hpp"
 
-#include "sim/event_kernel.hpp"
+#include <charconv>
+#include <cmath>
+#include <string>
+#include <system_error>
 
 namespace d2dhb::scenario {
 
@@ -29,9 +32,41 @@ std::optional<std::string> CliFlags::value(const std::string& name) {
   return std::nullopt;
 }
 
+namespace {
+
+/// Parses all of `token` as a T. from_chars takes no leading blanks,
+/// and into an unsigned T no sign or exponent; values out of T's range
+/// fail, and so does trailing junk.
+template <typename T>
+std::optional<T> parse_whole(const std::string& token) {
+  T parsed{};
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, parsed);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  return parsed;
+}
+
+}  // namespace
+
 double CliFlags::number(const std::string& name, double fallback) {
   const auto v = value(name);
-  return v ? std::stod(*v) : fallback;
+  if (!v) return fallback;
+  if (const auto x = parse_whole<double>(*v); x && std::isfinite(*x)) {
+    return *x;
+  }
+  if (error_.empty()) error_ = name + ": expected a number, got '" + *v + "'";
+  return fallback;
+}
+
+std::uint64_t CliFlags::count(const std::string& name,
+                              std::uint64_t fallback) {
+  const auto v = value(name);
+  if (!v) return fallback;
+  if (const auto x = parse_whole<std::uint64_t>(*v)) return *x;
+  if (error_.empty()) {
+    error_ = name + ": expected a non-negative integer, got '" + *v + "'";
+  }
+  return fallback;
 }
 
 std::vector<std::string> CliFlags::leftover() const {
@@ -43,36 +78,22 @@ std::vector<std::string> CliFlags::leftover() const {
 }
 
 std::string apply_crowd_flags(CliFlags& flags, CrowdConfig& config) {
-  config.phones = static_cast<std::size_t>(
-      flags.number("--phones", static_cast<double>(config.phones)));
+  config.phones = flags.count("--phones", config.phones);
   config.relay_fraction =
       flags.number("--relay-fraction", config.relay_fraction);
   config.area_m = flags.number("--area", config.area_m);
   config.duration_s = flags.number("--duration", config.duration_s);
   if (flags.has("--mobile")) config.mobile = true;
-  config.cell_grid = static_cast<std::size_t>(
-      flags.number("--cell-grid", static_cast<double>(config.cell_grid)));
-  config.grid_cell_m = flags.number("--grid-cell", config.grid_cell_m);
-  if (flags.has("--legacy-scan")) config.legacy_scan = true;
+  config.cell_grid = flags.count("--cell-grid", config.cell_grid);
   config.reassess_interval_s =
       flags.number("--reassess", config.reassess_interval_s);
-  config.seed = static_cast<std::uint64_t>(
-      flags.number("--seed", static_cast<double>(config.seed)));
-  const double shards = flags.number(
-      "--shards", static_cast<double>(config.shards));
-  if (shards < 1.0 || shards > static_cast<double>(sim::EventKernel::kMaxShards)) {
-    return "--shards must be in [1, " +
-           std::to_string(sim::EventKernel::kMaxShards) + "]";
-  }
-  config.shards = static_cast<std::size_t>(shards);
-  const double threads = flags.number(
-      "--threads", static_cast<double>(config.threads));
-  if (threads < 1.0) {
+  config.seed = flags.count("--seed", config.seed);
+  config.threads = flags.count("--threads", config.threads);
+  if (!flags.error().empty()) return flags.error();
+  if (config.threads < 1) {
     return "--threads must be at least 1";
   }
-  config.threads = static_cast<std::size_t>(threads);
   if (flags.has("--heap-agents")) config.heap_agents = true;
-  if (flags.has("--profile")) config.profile = true;
   if (const auto policy = flags.value("--policy")) {
     if (*policy == "greedy") {
       config.operator_policy = core::SelectionPolicy::coverage_greedy;
@@ -94,23 +115,13 @@ const char* crowd_flags_help() {
       "    --phones N --relay-fraction F --area M --duration S\n"
       "    --mobile --policy greedy|random|density|first-n --seed S\n"
       "    --cell-grid N (n-cell grid over the area; 1 = single BS)\n"
-      "    --grid-cell M (world-index cell size in meters; default =\n"
-      "    D2D range) --legacy-scan (linear-scan medium, for the\n"
-      "    grid-vs-scan ablation; seeded results are identical)\n"
       "    --reassess S (connected UEs re-scan every S seconds and\n"
       "    switch to a markedly closer relay; 0 = off)\n"
-      "    --shards N (cap on how many of the world's kernels may run\n"
-      "    concurrently; the partition itself is geometric, so seeded\n"
-      "    results are byte-identical for any N)\n"
       "    --threads N (worker threads driving the kernels; 1 = serial.\n"
       "    Seeded results are byte-identical for any N)\n"
       "    --heap-agents (one heap allocation per agent instead of the\n"
       "    pooled per-strip arenas; the ablation arm of the arena-vs-\n"
-      "    heap gate — seeded results are byte-identical)\n"
-      "    --profile (record engine runtime spans: per-shard busy time,\n"
-      "    barrier waits, window utilization — printed after the run\n"
-      "    and exported under the registry's runtime/ namespace;\n"
-      "    deterministic results stay byte-identical)\n";
+      "    heap gate — seeded results are byte-identical)\n";
 }
 
 }  // namespace d2dhb::scenario

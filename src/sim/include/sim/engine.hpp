@@ -5,7 +5,7 @@
 // Simulator::run_until / world::ShardedWorld::run_until pairing is
 // gone (the deprecated shim was removed once its callers ported).
 //
-// Threading model: `workers = min(threads, shards, kernel count)`
+// Threading model: `workers = min(threads, kernel count)`
 // threads each own the kernels `k % workers == w`. Execution proceeds
 // in windows: at each barrier the main thread finds the earliest
 // pending event or envelope time M, picks the window target
@@ -39,33 +39,26 @@
 namespace d2dhb::sim {
 
 /// Execution knobs for sim::run(). Defaults reproduce the classic
-/// single-threaded executor exactly.
+/// single-threaded executor exactly. Window-barrier audits follow
+/// Simulator::set_audit_interval (any non-zero interval audits there).
 struct RunOptions {
-  /// Upper bound on kernels executed concurrently. This is a pure
-  /// concurrency cap — it never changes results (the byte-identical
-  /// contract); the kernel count itself is fixed by the Simulator.
-  std::size_t shards{EventKernel::kMaxShards};
   /// Worker threads. 1 (the default) runs the classic serial executor;
-  /// the effective pool size is min(threads, shards, kernel count).
+  /// the effective pool size is min(threads, kernel count). Never
+  /// changes results (the byte-identical contract); the kernel count
+  /// itself is fixed by the Simulator.
   std::size_t threads{1};
   /// Window width of the parallel executor. Must not exceed the
   /// smallest cross-shard latency (the backhaul's 50 ms default) —
   /// ShardMailbox refuses posts below its horizon, so a too-wide
   /// window throws instead of corrupting order.
   Duration window{milliseconds(50)};
-  /// Audit every window barrier even when the simulator's periodic
-  /// audit interval is off.
-  bool audit{false};
-  /// Record runtime spans (window/drain/execute/barrier-wait) and fill
-  /// RunStats::profile + the registry's `runtime/` namespace. Purely
-  /// observational: a profiled run's deterministic metrics export is
-  /// byte-identical to an unprofiled one (the profile-equivalence gate
-  /// holds the engine to that).
-  bool profile{false};
-  /// Caller-owned span recorder; implies `profile`. Pass one to keep
-  /// the merged spans after the run (Chrome trace export,
-  /// tools/trace_report) — with only `profile` set the engine uses an
-  /// internal recorder that lives for the duration of the call.
+  /// Caller-owned span recorder. When set, the run records runtime
+  /// spans (window/drain/execute/barrier-wait), fills
+  /// RunStats::profile and the registry's `runtime/` namespace, and
+  /// leaves the merged spans in the recorder (Chrome trace export,
+  /// tools/trace_report). Purely observational: a profiled run's
+  /// deterministic metrics export is byte-identical to an unprofiled
+  /// one (the profile-equivalence gate holds the engine to that).
   Profiler* profiler{nullptr};
 };
 
@@ -90,8 +83,8 @@ struct RunStats {
   /// load imbalance stays visible with profiling off.
   std::vector<std::uint64_t> shard_events_executed;
   std::vector<std::uint64_t> shard_mailbox_delivered;
-  /// Runtime profile (host wall-clock; enabled=false unless
-  /// RunOptions::profile/profiler asked for it).
+  /// Runtime profile (host wall-clock; enabled=false unless a
+  /// RunOptions::profiler was passed).
   ProfileSummary profile;
 };
 

@@ -67,8 +67,7 @@ struct ProfileSummary {
   double window_utilization{0.0};
 };
 
-/// Span recorder for one engine run. Create one (or let RunOptions
-/// profile=true make an engine-internal one), pass it via
+/// Span recorder for one engine run. Create one, pass it via
 /// RunOptions::profiler, then read summarize()/write_chrome_trace()
 /// after sim::run returns.
 class Profiler {

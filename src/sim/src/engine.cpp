@@ -8,8 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include <memory>
-
 #include "common/memory.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/trace_span.hpp"
@@ -202,18 +200,11 @@ RunStats run(Simulator& sim, TimePoint until, const RunOptions& options) {
     throw std::invalid_argument("sim::run: window must be positive");
   }
   RunStats stats;
-  stats.workers = std::max<std::size_t>(
-      1, std::min({options.threads, options.shards, sim.shard_count()}));
+  stats.workers =
+      std::clamp<std::size_t>(options.threads, 1, sim.shard_count());
   // Arm the span recorder before the pool exists: workers grab their
-  // buffers on their first round. A caller-owned profiler keeps the
-  // merged spans (trace export); bare `profile` uses a run-local one
-  // that only feeds RunStats::profile and the runtime/ registry names.
+  // buffers on their first round.
   Profiler* profiler = options.profiler;
-  std::unique_ptr<Profiler> run_local;
-  if (profiler == nullptr && options.profile) {
-    run_local = std::make_unique<Profiler>();
-    profiler = run_local.get();
-  }
   if (profiler != nullptr) {
     profiler->begin_run(stats.workers, sim.shard_count());
   }
@@ -234,7 +225,7 @@ RunStats run(Simulator& sim, TimePoint until, const RunOptions& options) {
       sim.advance_world_to(target);
       window_span.close();
       ++stats.windows;
-      if (options.audit || sim.audit_interval() != 0) sim.audit();
+      if (sim.audit_interval() != 0) sim.audit();
     }
     pool.shutdown();
   }

@@ -2,31 +2,98 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "d2d/wifi_direct.hpp"
 #include "energy/energy_meter.hpp"
+#include "mobility/mobility.hpp"
 #include "sim/simulator.hpp"
+#include "world/node_table.hpp"
 
 namespace d2dhb::d2d {
 namespace {
 
+/// Registers `id` in the node table homed to `strip`, the way Scenario
+/// homes its phones before their radios attach (attach keeps the
+/// table's shard column).
+std::unique_ptr<mobility::MobilityModel> home(
+    world::NodeTable& nodes, NodeId id,
+    std::unique_ptr<mobility::MobilityModel> model, std::uint32_t strip) {
+  nodes.add(id, model.get());
+  nodes.set_shard(id, strip);
+  return model;
+}
+
 // Minimal device bundle for medium/radio tests.
 struct TestPhone {
   TestPhone(sim::Simulator& sim, WifiDirectMedium& medium, std::uint64_t id,
-            mobility::Vec2 pos)
+            mobility::Vec2 pos, std::uint32_t strip = 0)
+      : TestPhone(sim, medium, id,
+                  std::make_unique<mobility::StaticMobility>(pos), strip) {}
+  TestPhone(sim::Simulator& sim, WifiDirectMedium& medium, std::uint64_t id,
+            std::unique_ptr<mobility::MobilityModel> model,
+            std::uint32_t strip = 0)
       : meter(sim),
-        mobility(pos),
-        radio(sim, NodeId{id}, medium, mobility, meter, D2dEnergyProfile{},
+        mobility(home(medium.nodes(), NodeId{id}, std::move(model), strip)),
+        radio(sim, NodeId{id}, medium, *mobility, meter, D2dEnergyProfile{},
               Rng{id}) {}
 
   energy::EnergyMeter meter;
-  mobility::StaticMobility mobility;
+  std::unique_ptr<mobility::MobilityModel> mobility;
   WifiDirectRadio radio;
 };
+
+/// One discovered peer, flattened for comparison: node, noisy distance,
+/// and the advert it carried.
+using ScanRow = std::tuple<std::uint64_t, double, bool, std::uint32_t>;
+
+std::vector<ScanRow> rows(const std::vector<DiscoveredPeer>& peers) {
+  std::vector<ScanRow> out;
+  for (const DiscoveredPeer& p : peers) {
+    out.emplace_back(p.node.value, p.estimated_distance.value,
+                     p.advert.offers_relay, p.advert.capacity_remaining);
+  }
+  return out;
+}
+
+/// Brute-force oracle for scan_from: walks every attached radio in
+/// NodeId order and keeps the ones homed to the scanner's strip,
+/// within range and listening; then applies the miss and noise draws
+/// from `lane`, which mirrors the scanner's strip lane.
+std::vector<ScanRow> brute_force_scan(const WifiDirectMedium& medium,
+                                      NodeId scanner, TimePoint now,
+                                      Rng& lane) {
+  std::vector<ScanRow> found;
+  const world::NodeTable& nodes = medium.nodes();
+  const WifiDirectMedium::Params& params = medium.params();
+  const mobility::Vec2 origin = nodes.position_of(scanner, now);
+  for (std::uint64_t id = 1; id < nodes.id_limit(); ++id) {
+    const NodeId node{id};
+    const WifiDirectRadio* peer = medium.radio(node);
+    if (id == scanner.value || peer == nullptr ||
+        nodes.shard_of(node) != nodes.shard_of(scanner)) {
+      continue;
+    }
+    const double d =
+        mobility::distance(origin, nodes.position_of(node, now)).value;
+    if (d > params.range.value || !peer->listening()) continue;
+    if (lane.chance(params.discovery_miss_probability)) continue;
+    const double noise = lane.normal(0.0, params.rssi_noise_stddev_m);
+    found.emplace_back(id, std::max(0.0, d + noise),
+                       peer->advert().offers_relay,
+                       peer->advert().capacity_remaining);
+  }
+  return found;
+}
+
+/// 30 m range, 0.5 m RSSI noise, 30% per-peer discovery misses.
+const WifiDirectMedium::Params kNoisy{Meters{30.0}, 0.5, 0.3};
 
 class MediumTest : public ::testing::Test {
  protected:
@@ -121,43 +188,6 @@ TEST_F(MediumTest, ScanResultsAreInAscendingNodeIdOrder) {
   EXPECT_EQ(peers[2].node, NodeId{9});
 }
 
-TEST_F(MediumTest, LegacyScanAndGridScanAreIdenticalUnderOneSeed) {
-  // Same layout + same RNG seed, answered by both paths: the peer sets,
-  // order, and noisy distance draws must match exactly.
-  auto run = [this](bool legacy, double cell_m) {
-    WifiDirectMedium::Params params;
-    params.rssi_noise_stddev_m = 0.5;
-    params.discovery_miss_probability = 0.3;
-    params.legacy_scan = legacy;
-    params.grid_cell_m = cell_m;
-    world::NodeTable nodes;
-    WifiDirectMedium medium{sim_, nodes, params, Rng{77}};
-    std::vector<std::unique_ptr<TestPhone>> phones;
-    phones.push_back(std::make_unique<TestPhone>(
-        sim_, medium, 1, mobility::Vec2{0.0, 0.0}));
-    for (std::uint64_t id = 2; id <= 12; ++id) {
-      phones.push_back(std::make_unique<TestPhone>(
-          sim_, medium, id,
-          mobility::Vec2{2.0 * static_cast<double>(id), 1.0}));
-      phones.back()->radio.set_listening(true);
-    }
-    std::vector<std::pair<std::uint64_t, double>> seen;
-    for (int scan = 0; scan < 5; ++scan) {
-      for (const auto& p : medium.scan_from(NodeId{1})) {
-        seen.emplace_back(p.node.value, p.estimated_distance.value);
-      }
-    }
-    return seen;
-  };
-  const auto grid = run(false, 0.0);
-  const auto legacy = run(true, 0.0);
-  const auto coarse = run(false, 100.0);  // one bucket holds everyone
-  const auto fine = run(false, 1.5);      // everyone in a distinct cell
-  EXPECT_EQ(grid, legacy);
-  EXPECT_EQ(grid, coarse);
-  EXPECT_EQ(grid, fine);
-}
-
 TEST_F(MediumTest, LostPeersFlagsDetachedAndOutOfRange) {
   TestPhone owner{sim_, medium_, 1, {0.0, 0.0}};
   TestPhone near{sim_, medium_, 2, {5.0, 0.0}};
@@ -170,17 +200,6 @@ TEST_F(MediumTest, LostPeersFlagsDetachedAndOutOfRange) {
   doomed.reset();  // detaches
   EXPECT_EQ(medium_.lost_peers(NodeId{1}, peers),
             (std::vector<NodeId>{NodeId{3}, NodeId{4}}));
-
-  // The legacy path answers the same sweep the same way.
-  WifiDirectMedium::Params legacy_params;
-  legacy_params.legacy_scan = true;
-  world::NodeTable legacy_nodes;
-  WifiDirectMedium legacy{sim_, legacy_nodes, legacy_params, Rng{99}};
-  TestPhone l_owner{sim_, legacy, 1, {0.0, 0.0}};
-  TestPhone l_near{sim_, legacy, 2, {5.0, 0.0}};
-  TestPhone l_far{sim_, legacy, 3, {100.0, 0.0}};
-  EXPECT_EQ(legacy.lost_peers(NodeId{1}, {NodeId{2}, NodeId{3}}),
-            (std::vector<NodeId>{NodeId{3}}));
 }
 
 TEST_F(MediumTest, UnknownNodeErrorsNameTheNode) {
@@ -193,6 +212,120 @@ TEST_F(MediumTest, UnknownNodeErrorsNameTheNode) {
   // A scan from a detached/unknown node is a no-op, not an error — a
   // pending scan timer may outlive its radio.
   EXPECT_TRUE(medium_.scan_from(NodeId{41}).empty());
+}
+
+/// A seeded random world of 60 radios on one strip, 90 m square (three
+/// ranges, so scans see partial neighbourhoods), a third of them
+/// silent and some advertising relay capacity. Every radio scans at
+/// each of several times and every scan must equal the oracle's.
+void expect_scans_match_oracle(bool mobile, std::uint64_t seed) {
+  constexpr double kArea = 90.0;
+  sim::Simulator sim;
+  world::NodeTable nodes;
+  WifiDirectMedium medium{sim, nodes, kNoisy, Rng{seed}};
+  Rng layout{seed + 1};
+  std::vector<std::unique_ptr<TestPhone>> phones;
+  for (std::uint64_t id = 1; id <= 60; ++id) {
+    const mobility::Vec2 start{layout.uniform(0.0, kArea),
+                               layout.uniform(0.0, kArea)};
+    std::unique_ptr<mobility::MobilityModel> model =
+        std::make_unique<mobility::StaticMobility>(start);
+    if (mobile) {
+      mobility::RandomWaypoint::Params params;
+      params.area_max = {kArea, kArea};
+      model = std::make_unique<mobility::RandomWaypoint>(params, start,
+                                                         layout.fork());
+    }
+    phones.push_back(
+        std::make_unique<TestPhone>(sim, medium, id, std::move(model)));
+    phones.back()->radio.set_listening(id % 3 != 0);
+    phones.back()->radio.set_advert(
+        RelayAdvert{id % 4 == 0, static_cast<std::uint32_t>(id % 7)});
+  }
+  Rng lane{seed};  // a one-strip medium's only lane keeps its own rng
+  for (const double at_s : {0.0, 7.0, 60.0, 300.0, 900.0}) {
+    sim.run_until(TimePoint{} + seconds(at_s));
+    for (std::uint64_t id = 1; id <= phones.size(); ++id) {
+      const auto expected =
+          brute_force_scan(medium, NodeId{id}, sim.now(), lane);
+      EXPECT_EQ(rows(medium.scan_from(NodeId{id})), expected)
+          << "node " << id << " at " << at_s << " s";
+    }
+  }
+}
+
+TEST_F(MediumTest, GridScanMatchesBruteForceOracle) {
+  expect_scans_match_oracle(false, 4242);
+}
+
+TEST_F(MediumTest, MobileGridScanMatchesBruteForceOracle) {
+  expect_scans_match_oracle(true, 977);
+}
+
+// Strip confinement on a two-strip world: D2D never connects nodes
+// homed to different strips, even when they stand within range. This
+// pins the current contract; making results independent of the strip
+// count means changing it on purpose.
+class TwoStripMediumTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kSeed = 31;
+
+  TwoStripMediumTest()
+      : medium_(sim_, nodes_, kNoisy, Rng{kSeed}),
+        scanner_(sim_, medium_, 1, {0.0, 0.0}, 0),
+        near_(sim_, medium_, 2, {5.0, 0.0}, 0),
+        relay_(sim_, medium_, 4, {10.0, 3.0}, 0),
+        across_(sim_, medium_, 3, {8.0, 0.0}, 1),
+        across_peer_(sim_, medium_, 5, {12.0, 0.0}, 1) {
+    for (TestPhone* phone : {&near_, &relay_, &across_, &across_peer_}) {
+      phone->radio.set_listening(true);
+    }
+    relay_.radio.set_advert(RelayAdvert{true, 3});
+  }
+
+  sim::Simulator sim_{2};
+  world::NodeTable nodes_;
+  WifiDirectMedium medium_;
+  TestPhone scanner_;      // #1, strip 0
+  TestPhone near_;         // #2, strip 0
+  TestPhone relay_;        // #4, strip 0
+  TestPhone across_;       // #3, strip 1, 8 m from the scanner
+  TestPhone across_peer_;  // #5, strip 1
+};
+
+TEST_F(TwoStripMediumTest, CrossStripPeerIsNeverInRangeAndAlwaysLost) {
+  ASSERT_LE(medium_.distance(NodeId{1}, NodeId{3}).value,
+            medium_.params().range.value);
+  EXPECT_FALSE(medium_.in_range(NodeId{1}, NodeId{3}));
+  EXPECT_FALSE(medium_.in_range(NodeId{3}, NodeId{1}));
+  EXPECT_TRUE(medium_.in_range(NodeId{1}, NodeId{2}));
+  EXPECT_TRUE(medium_.in_range(NodeId{3}, NodeId{5}));
+  EXPECT_EQ(medium_.lost_peers(NodeId{1}, {NodeId{2}, NodeId{3}, NodeId{4}}),
+            (std::vector<NodeId>{NodeId{3}}));
+  EXPECT_EQ(medium_.lost_peers(NodeId{3}, {NodeId{1}, NodeId{5}}),
+            (std::vector<NodeId>{NodeId{1}}));
+}
+
+TEST_F(TwoStripMediumTest, ScanSkipsCrossStripPeersAndMatchesOracle) {
+  // The medium's strip lanes: strip 0 draws from a fork of the seeded
+  // stream, the last strip from that stream itself, after the fork.
+  Rng seeded{kSeed};
+  Rng lanes[2] = {seeded.fork(), seeded};
+  for (int scan = 0; scan < 8; ++scan) {
+    const auto from_strip0 = rows(medium_.scan_from(NodeId{1}));
+    EXPECT_EQ(from_strip0,
+              brute_force_scan(medium_, NodeId{1}, sim_.now(), lanes[0]));
+    const auto from_strip1 = rows(medium_.scan_from(NodeId{3}));
+    EXPECT_EQ(from_strip1,
+              brute_force_scan(medium_, NodeId{3}, sim_.now(), lanes[1]));
+    for (const ScanRow& row : from_strip0) {
+      EXPECT_NE(std::get<0>(row), 3u);
+      EXPECT_NE(std::get<0>(row), 5u);
+    }
+    for (const ScanRow& row : from_strip1) {
+      EXPECT_EQ(std::get<0>(row), 5u);
+    }
+  }
 }
 
 }  // namespace

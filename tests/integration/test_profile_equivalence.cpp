@@ -45,7 +45,6 @@ CrowdConfig striped_crowd(std::uint64_t seed) {
 
 TEST(ProfileEquivalence, ProfiledRunsExportByteIdenticalMetrics) {
   CrowdConfig reference_config = striped_crowd(4242);
-  reference_config.shards = 1;
   reference_config.threads = 1;
   const CrowdMetrics reference = run_d2d_crowd(reference_config);
   const std::string reference_json = metrics_json(reference);
@@ -56,9 +55,10 @@ TEST(ProfileEquivalence, ProfiledRunsExportByteIdenticalMetrics) {
   };
   for (const Arm& spec : {Arm{"profiled serial", 1},
                           Arm{"profiled 4 threads", 4}}) {
+    sim::Profiler profiler;
     CrowdConfig config = striped_crowd(4242);
     config.threads = spec.threads;
-    config.profile = true;
+    config.profiler = &profiler;
     const CrowdMetrics profiled = run_d2d_crowd(config);
     EXPECT_EQ(profiled.total_l3, reference.total_l3) << spec.label;
     EXPECT_EQ(profiled.sim_events, reference.sim_events) << spec.label;
@@ -91,9 +91,10 @@ TEST(ProfileEquivalence, PerShardCountersMatchAcrossProfiledArms) {
   serial.threads = 1;
   const CrowdMetrics a = run_d2d_crowd(serial);
 
+  sim::Profiler profiler;
   CrowdConfig profiled = striped_crowd(977);
   profiled.threads = 4;
-  profiled.profile = true;
+  profiled.profiler = &profiler;
   const CrowdMetrics b = run_d2d_crowd(profiled);
 
   // The deterministic per-shard counters (plain RunStats fields, not

@@ -5,7 +5,7 @@
 // any seeded result in the repo — each kernel replays its shard's
 // events in (when, seq) order and mailbox drains are sorted, so the
 // per-shard event sequence is provably independent of the worker
-// count and of the concurrency cap.
+// count.
 //
 // The crowd spans a 480 m area, which the geometric partition cuts
 // into four 120 m strips (one kernel each); every arm below therefore
@@ -42,30 +42,19 @@ CrowdConfig striped_crowd(std::uint64_t seed) {
   return config;
 }
 
-struct ExecutorArm {
-  const char* label;
-  std::size_t shards;   ///< Concurrency cap (not the kernel count).
-  std::size_t threads;  ///< Worker threads.
-};
-
 void expect_executor_invariance(const CrowdConfig& base, const char* what) {
   CrowdConfig serial = base;
-  serial.shards = 1;
   serial.threads = 1;
   const CrowdMetrics reference = run_d2d_crowd(serial);
   const std::string reference_json = metrics_json(reference);
 
-  constexpr ExecutorArm kArms[] = {
-      {"2 threads", 256, 2},
-      {"4 threads", 256, 4},
-      {"4 threads capped to 2 shards", 2, 4},
-  };
-  for (const ExecutorArm& spec : kArms) {
+  // 8 threads is more than the four kernels: the pool holds four.
+  for (const std::size_t threads : {2u, 4u, 8u}) {
     CrowdConfig arm = base;
-    arm.shards = spec.shards;
-    arm.threads = spec.threads;
+    arm.threads = threads;
     const CrowdMetrics parallel = run_d2d_crowd(arm);
-    const std::string label = std::string(what) + " @ " + spec.label;
+    const std::string label =
+        std::string(what) + " @ " + std::to_string(threads) + " threads";
     EXPECT_EQ(parallel.total_l3, reference.total_l3) << label;
     EXPECT_EQ(parallel.sim_events, reference.sim_events) << label;
     EXPECT_EQ(parallel.heartbeats_delivered, reference.heartbeats_delivered)
@@ -102,7 +91,6 @@ TEST(ShardEquivalence, MulticellCrowdIsByteIdentical) {
 
 TEST(ShardEquivalence, OriginalSchemeIsByteIdentical) {
   CrowdConfig serial = striped_crowd(55);
-  serial.shards = 1;
   serial.threads = 1;
   CrowdConfig parallel = striped_crowd(55);
   parallel.threads = 4;
@@ -119,7 +107,6 @@ TEST(ShardEquivalence, OriginalSchemeIsByteIdentical) {
 // export included. Memory layout must never leak into results.
 TEST(ShardEquivalence, HeapAgentLayoutIsByteIdentical) {
   CrowdConfig pooled = striped_crowd(4242);
-  pooled.shards = 1;
   pooled.threads = 1;
   const CrowdMetrics reference = run_d2d_crowd(pooled);
   const std::string reference_json = metrics_json(reference);

@@ -1,18 +1,19 @@
 // apply_crowd_flags() is the one flag table every crowd driver shares
 // (the d2dhb_sim CLI and the scaling benches). These tests pin the
-// interactions between knobs: --threads is allowed to exceed --shards
-// (the engine caps the pool, never the parser), out-of-range values
-// are rejected loudly with the exact message the driver prints, and
-// flags that are absent leave pre-loaded defaults untouched.
+// interactions between knobs: --threads is allowed to exceed the
+// world's kernel count (the engine caps the pool, never the parser),
+// malformed and out-of-range values are rejected loudly with the exact
+// message the driver prints, and flags that are absent leave pre-loaded
+// defaults untouched.
 #include "scenario/crowd_cli.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/operator_selection.hpp"
-#include "sim/event_kernel.hpp"
 
 namespace d2dhb::scenario {
 namespace {
@@ -36,42 +37,56 @@ class Argv {
 
 TEST(CrowdCliFlags, ThreadsMayExceedShards) {
   // The parser must accept an oversubscribed pool: the effective
-  // worker count is min(threads, shards, kernel count) inside the
-  // engine (see sim/engine.hpp), not a parse-time constraint.
-  Argv argv({"--shards", "2", "--threads", "8"});
+  // worker count is min(threads, kernel count) inside the engine (see
+  // sim/engine.hpp), not a parse-time constraint.
+  Argv argv({"--threads", "8"});
   CliFlags flags = argv.flags();
   CrowdConfig config;
   EXPECT_EQ(apply_crowd_flags(flags, config), "");
-  EXPECT_EQ(config.shards, 2u);
   EXPECT_EQ(config.threads, 8u);
   EXPECT_TRUE(flags.leftover().empty());
 }
 
-TEST(CrowdCliFlags, ShardsOutOfRangeRejected) {
-  const std::string expected =
-      "--shards must be in [1, " +
-      std::to_string(sim::EventKernel::kMaxShards) + "]";
-  {
-    Argv argv({"--shards", "0"});
-    CliFlags flags = argv.flags();
-    CrowdConfig config;
-    EXPECT_EQ(apply_crowd_flags(flags, config), expected);
+/// apply_crowd_flags' verdict on a single `--flag value` pair.
+std::string apply_one(const std::string& flag, const std::string& value) {
+  Argv argv({flag, value});
+  CliFlags flags = argv.flags();
+  CrowdConfig config;
+  return apply_crowd_flags(flags, config);
+}
+
+TEST(CrowdCliFlags, MalformedCountsRejected) {
+  const auto expected = [](const std::string& flag, const std::string& v) {
+    return flag + ": expected a non-negative integer, got '" + v + "'";
+  };
+  // Junk, negative, non-integer, scientific notation, trailing junk,
+  // leading blanks, and a value past UINT64_MAX.
+  for (const std::string value :
+       {"abc", "-3", "2.5", "1e30", "12x", " 7", "",
+        "99999999999999999999"}) {
+    EXPECT_EQ(apply_one("--phones", value), expected("--phones", value));
+    EXPECT_EQ(apply_one("--threads", value), expected("--threads", value));
   }
-  {
-    Argv argv({"--shards",
-               std::to_string(sim::EventKernel::kMaxShards + 1)});
-    CliFlags flags = argv.flags();
-    CrowdConfig config;
-    EXPECT_EQ(apply_crowd_flags(flags, config), expected);
-  }
-  {
-    // The boundary itself is legal.
-    Argv argv({"--shards", std::to_string(sim::EventKernel::kMaxShards)});
-    CliFlags flags = argv.flags();
-    CrowdConfig config;
-    EXPECT_EQ(apply_crowd_flags(flags, config), "");
-    EXPECT_EQ(config.shards, sim::EventKernel::kMaxShards);
-  }
+  EXPECT_EQ(apply_one("--cell-grid", "-1"), expected("--cell-grid", "-1"));
+  EXPECT_EQ(apply_one("--seed", "nan"), expected("--seed", "nan"));
+}
+
+TEST(CrowdCliFlags, MalformedNumbersRejected) {
+  EXPECT_EQ(apply_one("--duration", "abc"),
+            "--duration: expected a number, got 'abc'");
+  EXPECT_EQ(apply_one("--area", "12m"),
+            "--area: expected a number, got '12m'");
+  EXPECT_EQ(apply_one("--relay-fraction", "inf"),
+            "--relay-fraction: expected a number, got 'inf'");
+  EXPECT_EQ(apply_one("--reassess", "nan"),
+            "--reassess: expected a number, got 'nan'");
+  // Exponents stay legal for real values, and counts span all 64 bits.
+  Argv argv({"--duration", "1.5e3", "--seed", "18446744073709551615"});
+  CliFlags flags = argv.flags();
+  CrowdConfig config;
+  EXPECT_EQ(apply_crowd_flags(flags, config), "");
+  EXPECT_DOUBLE_EQ(config.duration_s, 1500.0);
+  EXPECT_EQ(config.seed, UINT64_MAX);
 }
 
 TEST(CrowdCliFlags, ZeroThreadsRejected) {

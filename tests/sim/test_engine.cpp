@@ -102,12 +102,12 @@ TEST(Engine, ParallelRunIsByteIdenticalToSerial) {
   EXPECT_EQ(parallel_load.logs(), serial_load.logs());
 }
 
-TEST(Engine, WorkerCountIsCappedByShardsOption) {
-  Simulator sim{4};
+TEST(Engine, WorkerCountIsCappedByKernelCount) {
+  // More threads than kernels: the pool holds one worker per kernel.
+  Simulator sim{2};
   RingWorkload load{sim, 10};
   RunOptions options;
   options.threads = 8;
-  options.shards = 2;
   const RunStats stats = run(sim, TimePoint{} + seconds(1), options);
   EXPECT_EQ(stats.workers, 2u);
   EXPECT_GT(stats.windows, 0u);
@@ -121,8 +121,8 @@ TEST(Engine, WorkerCountIsCappedByShardsOption) {
 // precisely now + window == horizon. ShardMailbox must accept the
 // boundary post (only strictly-below-horizon is a violation), deliver
 // it in the NEXT window, and preserve order — for every one of the
-// 200 hops. Barrier audits are forced on to sweep the invariants at
-// every window.
+// 200 hops. An audit interval of one event sweeps the invariants at
+// every window barrier.
 TEST(Engine, PostsAtExactHorizonBoundaryFromWorkers) {
   constexpr int kHops = 200;
   Simulator sim{4};
@@ -146,9 +146,9 @@ TEST(Engine, PostsAtExactHorizonBoundaryFromWorkers) {
     }
   };
 
+  sim.set_audit_interval(1);
   RunOptions options;
   options.threads = 4;
-  options.audit = true;
   Chain chain{sim, hops_per_shard, options.window, kHops - 1};
   {
     ShardGuard guard(sim, 0);

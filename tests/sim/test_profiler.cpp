@@ -203,9 +203,10 @@ class RingWorkload {
 TEST(Profiler, EngineRunFillsProfileSummary) {
   Simulator sim{4};
   RingWorkload load{sim, 40};
+  Profiler profiler;
   RunOptions options;
   options.threads = 4;
-  options.profile = true;
+  options.profiler = &profiler;
   const RunStats stats = run(sim, TimePoint{} + seconds(2), options);
 
   const ProfileSummary& p = stats.profile;
@@ -248,7 +249,7 @@ TEST(Profiler, CallerOwnedProfilerKeepsSpansAndPublishesRuntimeMetrics) {
   Profiler profiler;
   RunOptions options;
   options.threads = 2;
-  options.profiler = &profiler;  // implies profile
+  options.profiler = &profiler;
   const RunStats stats = run(sim, TimePoint{} + seconds(1), options);
 
   EXPECT_TRUE(stats.profile.enabled);
@@ -276,9 +277,10 @@ TEST(Engine, PerShardCountersAreDeterministicAcrossThreadCounts) {
 
   Simulator parallel{4};
   RingWorkload parallel_load{parallel, 40};
+  Profiler profiler;
   RunOptions options;
   options.threads = 4;
-  options.profile = true;  // profiling must not perturb the counters
+  options.profiler = &profiler;  // profiling must not perturb the counters
   const RunStats parallel_stats = run(parallel, until, options);
 
   ASSERT_EQ(serial_stats.shard_events_executed.size(), 4u);

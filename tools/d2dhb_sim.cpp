@@ -109,13 +109,15 @@ void maybe_write_trace(const std::optional<std::string>& path,
   }
 }
 
-/// Complains about any flag no parser consumed, then exits via usage().
+/// Complains about any malformed value or flag no parser consumed,
+/// then exits via usage().
 void check(const CliFlags& flags, const char* argv0) {
+  if (!flags.error().empty()) std::cerr << flags.error() << '\n';
   const auto left = flags.leftover();
   for (const std::string& flag : left) {
     std::cerr << "unknown flag: " << flag << '\n';
   }
-  if (!left.empty()) usage(argv0);
+  if (!left.empty() || !flags.error().empty()) usage(argv0);
 }
 
 /// Writes the per-arm snapshot report when --metrics-out was given.
@@ -129,15 +131,15 @@ void maybe_write_metrics(const std::optional<std::string>& path,
 
 int run_pair(CliFlags& flags, const char* argv0) {
   CompressedPairConfig config;
-  config.num_ues = static_cast<std::size_t>(flags.number("--ues", 1));
-  config.transmissions = static_cast<std::size_t>(flags.number("--tx", 8));
+  config.num_ues = flags.count("--ues", 1);
+  config.transmissions = flags.count("--tx", 8);
   config.ue_distance_m = flags.number("--distance", 1.0);
   config.heartbeat_bytes =
-      static_cast<std::uint32_t>(flags.number("--bytes", 54));
+      static_cast<std::uint32_t>(flags.count("--bytes", 54));
   config.period_s = flags.number("--period", 20.0);
-  config.capacity = static_cast<std::size_t>(flags.number("--capacity", 7));
+  config.capacity = flags.count("--capacity", 7);
   config.use_lte = flags.has("--lte");
-  config.seed = static_cast<std::uint64_t>(flags.number("--seed", 1));
+  config.seed = flags.count("--seed", 1);
   const auto metrics_out = flags.value("--metrics-out");
   check(flags, argv0);
 
@@ -184,27 +186,23 @@ int run_pair(CliFlags& flags, const char* argv0) {
 /// snapshot — see scenario/city.hpp).
 int run_city_mode(CliFlags& flags, const char* argv0) {
   CityConfig config;
-  config.phones = static_cast<std::size_t>(
-      flags.number("--phones", static_cast<double>(config.phones)));
+  config.phones = flags.count("--phones", config.phones);
   config.relay_fraction =
       flags.number("--relay-fraction", config.relay_fraction);
   config.duration_s = flags.number("--duration", config.duration_s);
-  config.threads = static_cast<std::size_t>(
-      flags.number("--threads", static_cast<double>(config.threads)));
-  config.phones_per_cell = static_cast<std::size_t>(flags.number(
-      "--phones-per-cell", static_cast<double>(config.phones_per_cell)));
+  config.threads = flags.count("--threads", config.threads);
+  config.phones_per_cell =
+      flags.count("--phones-per-cell", config.phones_per_cell);
   config.heap_agents = flags.has("--heap-agents");
-  config.profile = flags.has("--profile");
+  const bool profile = flags.has("--profile");
   const auto trace_out = flags.value("--trace-out");
-  config.seed = static_cast<std::uint64_t>(
-      flags.number("--seed", static_cast<double>(config.seed)));
+  config.seed = flags.count("--seed", config.seed);
   check(flags, argv0);
 
-  // --trace-out needs the merged spans after the run, so the driver
-  // owns the recorder (a bare --profile would also work through the
-  // engine's run-local one, but one code path is plenty here).
+  // The driver owns the span recorder: --trace-out needs the merged
+  // spans after the run, and --profile the summary.
   sim::Profiler profiler;
-  const bool profiled = config.profile || trace_out.has_value();
+  const bool profiled = profile || trace_out.has_value();
   if (profiled) config.profiler = &profiler;
 
   const CityMetrics m = run_city_crowd(config);
@@ -253,17 +251,16 @@ int run_crowd(CliFlags& flags, const char* argv0) {
     std::cerr << error << '\n';
     usage(argv0);
   }
-  const auto seed_count =
-      static_cast<std::size_t>(flags.number("--seeds", 1));
+  const std::uint64_t seed_count = flags.count("--seeds", 1);
   const auto metrics_out = flags.value("--metrics-out");
   const auto trace_out = flags.value("--trace-out");
+  const bool profile = flags.has("--profile") || trace_out.has_value();
   check(flags, argv0);
   if (seed_count == 0) {
     std::cerr << "--seeds must be >= 1\n";
     usage(argv0);
   }
-  if (trace_out) config.profile = true;
-  if (config.profile && seed_count > 1) {
+  if (profile && seed_count > 1) {
     std::cerr << "--profile/--trace-out record one run; use --seeds 1\n";
     usage(argv0);
   }
@@ -329,13 +326,11 @@ int run_crowd(CliFlags& flags, const char* argv0) {
   sim::Profiler profiler;
   CrowdMetrics orig;
   CrowdMetrics d2d;
-  if (config.profile) {
+  if (profile) {
     // Profiled: arms run sequentially — concurrent arm jobs would
     // pollute the profiled arm's wall-clock spans — and only the d2d
     // arm (the headline) carries the recorder.
-    CrowdConfig orig_config = config;
-    orig_config.profile = false;
-    orig = run_original_crowd(orig_config);
+    orig = run_original_crowd(config);
     config.profiler = &profiler;
     d2d = run_d2d_crowd(config);
   } else {
@@ -376,7 +371,7 @@ int run_crowd(CliFlags& flags, const char* argv0) {
     std::cout << "\nOperator relay coverage: "
               << Table::num(100 * d2d.relay_coverage, 1) << "%\n";
   }
-  if (config.profile) {
+  if (profile) {
     print_profile_summary(d2d.profile);
     maybe_write_trace(trace_out, profiler);
   }
@@ -387,11 +382,10 @@ int run_crowd(CliFlags& flags, const char* argv0) {
 
 int run_baselines(CliFlags& flags, const char* argv0) {
   BaselineConfig config;
-  config.phones = static_cast<std::size_t>(flags.number("--phones", 12));
+  config.phones = flags.count("--phones", 12);
   config.duration_s = flags.number("--duration", 3600.0);
-  config.seed = static_cast<std::uint64_t>(flags.number("--seed", 21));
-  const auto threads =
-      static_cast<std::size_t>(flags.number("--threads", 0));
+  config.seed = flags.count("--seed", 21);
+  const std::uint64_t threads = flags.count("--threads", 0);
   const auto metrics_out = flags.value("--metrics-out");
   check(flags, argv0);
 

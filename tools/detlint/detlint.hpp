@@ -2,7 +2,7 @@
 //
 // The repo's headline guarantee is byte-identical seeded runs: the same
 // (config, seed) must produce the same metrics whether it runs on one
-// runner thread or eight, through the grid or the legacy scan path.
+// runner thread or eight, serially or on the parallel engine.
 // That property is easy to break silently — iterate an unordered_map
 // where the order reaches sim-visible state, read the wall clock, or
 // construct an RNG outside common/rng — and nothing fails until a

@@ -14,7 +14,8 @@
 // path. A strip's grid has the D2D range as its cell size, so one ring
 // of neighbour cells covers every scan, and it returns peers in
 // ascending NodeId order, so the RNG draws follow a fixed peer order.
-// Range-exit sweeps check each linked peer's distance directly.
+// Range-exit sweeps check each linked peer's distance directly, and
+// only radios holding a link with a moving end run them.
 //
 // Strip confinement: every node is homed to a world strip (its
 // NodeTable shard column, fixed when the node is added) and D2D only
@@ -93,11 +94,12 @@ class WifiDirectMedium {
 
   /// Invariant audit (the D2DHB_AUDIT layer): checks the world index
   /// (SpatialGrid::audit at the current sim time), NodeTable↔radio-array
-  /// slot consistency in both directions, and link-table symmetry — for
+  /// slot consistency in both directions, link-table symmetry (for
   /// every attached radio, each link (peer, group) must be mirrored by
-  /// an identical link back from the peer. Registered with the
-  /// simulator's auditor list on construction, so audit builds run it
-  /// automatically every audit interval.
+  /// an identical link back from the peer), and that each radio's range
+  /// poll runs exactly while one of its links has a moving end.
+  /// Registered with the simulator's auditor list on construction, so
+  /// audit builds run it automatically every audit interval.
   void audit() const;
 
   /// True distance between two registered radios right now. Only

@@ -5,6 +5,12 @@
 // groupOwnerIntent (0-15), connection setup, message transfer, and
 // link-break detection when peers move out of range. Every phase charges
 // the node's EnergyMeter per the calibrated D2dEnergyProfile.
+//
+// Range exits are found by a 1 Hz link poll that runs only while the
+// radio holds a link with a moving end (either side's mobility model is
+// not static). A link between two static radios cannot leave range, so
+// it is never polled; a destroyed radio removes its links from the
+// surviving peers itself rather than waiting for them to notice.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +47,8 @@ class WifiDirectRadio {
                   const mobility::MobilityModel& mobility,
                   energy::EnergyMeter& meter, D2dEnergyProfile profile,
                   Rng rng);
+  /// Removes this radio's links from every surviving peer (with their
+  /// bookkeeping, but without disconnect callbacks) and detaches.
   ~WifiDirectRadio();
   WifiDirectRadio(const WifiDirectRadio&) = delete;
   WifiDirectRadio& operator=(const WifiDirectRadio&) = delete;
@@ -113,12 +121,17 @@ class WifiDirectRadio {
   struct Link {
     NodeId peer;
     GroupId group;
+    bool moving;  ///< Either end's mobility is not static: poll it.
   };
 
   void charge_phase(const PhaseShape& shape, MicroAmpHours target);
   void update_idle_current();
   const Link* find_link(NodeId peer) const;
-  void establish_link(NodeId peer, GroupId group, bool as_owner);
+  void establish_link(NodeId peer, GroupId group, bool as_owner,
+                      bool moving);
+  /// Removes the link to `peer` with its bookkeeping (counter, group,
+  /// monitor, idle current) but runs no callbacks. False if not linked.
+  bool drop_link(NodeId peer);
   void break_link(NodeId peer, bool notify_peer);
   void poll_links();
   void deliver(const net::D2dPayload& payload, NodeId from);
@@ -142,9 +155,15 @@ class WifiDirectRadio {
   TimePoint passive_window_end_{};
 
   std::vector<Link> links_;  ///< Sorted by peer NodeId ascending.
+  /// When links_ last became non-empty. The link poll ticks on a 1 s
+  /// grid anchored here, so a poll armed late (the first moving link
+  /// joining static ones) fires at the same instants as one armed with
+  /// the first link.
+  TimePoint linked_since_{};
   GroupId group_{};
   bool group_owner_{false};
 
+  /// Range poll; running iff some link in links_ is moving.
   sim::PeriodicTimer link_monitor_;
   ReceiveHandler on_receive_;
   DisconnectHandler on_disconnect_;

@@ -89,6 +89,16 @@ void WifiDirectMedium::audit() const {
             " is not mirrored with the same group id");
       }
     }
+    // The range poll runs exactly while some link has a moving end.
+    const bool moving = std::any_of(radio->links_.begin(),
+                                    radio->links_.end(),
+                                    [](const auto& l) { return l.moving; });
+    if (radio->link_monitor_.running() != moving) {
+      throw sim::AuditError(
+          "WifiDirectMedium audit: node #" + std::to_string(id) +
+          (moving ? " has a moving link but no range poll"
+                  : " polls links that cannot leave range"));
+    }
   }
 }
 

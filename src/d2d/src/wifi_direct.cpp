@@ -35,7 +35,14 @@ WifiDirectRadio::WifiDirectRadio(sim::Simulator& sim, NodeId owner,
 }
 
 WifiDirectRadio::~WifiDirectRadio() {
-  // Tear down links without touching possibly-dead peers' callbacks.
+  // Surviving peers drop their side now: a static peer never polls, so
+  // it would otherwise hold the link (and its idle current) forever.
+  // No disconnect callbacks run — their owners may be mid-teardown too.
+  for (const Link& link : links_) {
+    if (WifiDirectRadio* other = medium_.radio(link.peer)) {
+      other->drop_link(owner_);
+    }
+  }
   links_.clear();
   medium_.detach(owner_);
 }
@@ -136,8 +143,10 @@ void WifiDirectRadio::connect(NodeId peer, ConnectCallback callback) {
           // either id names the same lane.
           group = medium_.allocate_group(owner_);
         }
-        establish_link(peer, group, !peer_is_owner);
-        other->establish_link(owner_, group, peer_is_owner);
+        const bool moving =
+            !mobility_.is_static() || !other->mobility_.is_static();
+        establish_link(peer, group, !peer_is_owner, moving);
+        other->establish_link(owner_, group, peer_is_owner, moving);
         D2DHB_LOG(debug) << "d2d link " << owner_.value << " <-> "
                          << peer.value << " group " << group.value;
         callback(Result<GroupId>{group});
@@ -152,7 +161,7 @@ const WifiDirectRadio::Link* WifiDirectRadio::find_link(NodeId peer) const {
 }
 
 void WifiDirectRadio::establish_link(NodeId peer, GroupId group,
-                                     bool as_owner) {
+                                     bool as_owner, bool moving) {
   trace(sim_.now(), TraceCategory::d2d, owner_,
         "link up with #" + std::to_string(peer.value) + " (group " +
             std::to_string(group.value) +
@@ -160,23 +169,30 @@ void WifiDirectRadio::establish_link(NodeId peer, GroupId group,
   const auto it = std::lower_bound(
       links_.begin(), links_.end(), peer,
       [](const Link& l, NodeId p) { return l.peer < p; });
+  if (links_.empty()) linked_since_ = sim_.now();
   if (it != links_.end() && it->peer == peer) {
     it->group = group;
   } else {
-    links_.insert(it, Link{peer, group});
+    links_.insert(it, Link{peer, group, moving});
   }
   links_established_ctr_->inc();
   group_ = group;
   group_owner_ = as_owner;
   update_idle_current();
-  if (!link_monitor_.running()) link_monitor_.start();
+  // Only a moving link can leave range. The first tick lands on the
+  // 1 s grid anchored at linked_since_ (one period out when this is
+  // the first link).
+  if (moving && !link_monitor_.running()) {
+    const Duration period = link_monitor_.period();
+    link_monitor_.start_after(period - (sim_.now() - linked_since_) % period);
+  }
 }
 
-void WifiDirectRadio::break_link(NodeId peer, bool notify_peer) {
+bool WifiDirectRadio::drop_link(NodeId peer) {
   const auto it = std::lower_bound(
       links_.begin(), links_.end(), peer,
       [](const Link& l, NodeId p) { return l.peer < p; });
-  if (it == links_.end() || it->peer != peer) return;
+  if (it == links_.end() || it->peer != peer) return false;
   trace(sim_.now(), TraceCategory::d2d, owner_,
         "link down with #" + std::to_string(peer.value));
   links_.erase(it);
@@ -184,9 +200,17 @@ void WifiDirectRadio::break_link(NodeId peer, bool notify_peer) {
   if (links_.empty()) {
     group_ = GroupId{};
     group_owner_ = false;
+  }
+  if (std::none_of(links_.begin(), links_.end(),
+                   [](const Link& l) { return l.moving; })) {
     link_monitor_.stop();
   }
   update_idle_current();
+  return true;
+}
+
+void WifiDirectRadio::break_link(NodeId peer, bool notify_peer) {
+  if (!drop_link(peer)) return;
   if (notify_peer) {
     if (WifiDirectRadio* other = medium_.radio(peer)) {
       other->break_link(owner_, false);

@@ -42,6 +42,15 @@ net::HeartbeatMessage heartbeat(std::uint64_t id, std::uint64_t origin) {
   return m;
 }
 
+std::unique_ptr<TestPhone> walker(sim::Simulator& sim,
+                                  WifiDirectMedium& medium, std::uint64_t id,
+                                  mobility::Vec2 start,
+                                  mobility::Vec2 velocity) {
+  return std::make_unique<TestPhone>(
+      sim, medium, id,
+      std::make_unique<mobility::LinearMobility>(start, velocity));
+}
+
 class WifiDirectTest : public ::testing::Test {
  protected:
   WifiDirectTest() : medium_(sim_, nodes_, WifiDirectMedium::Params{}, Rng{77}) {}
@@ -260,6 +269,104 @@ TEST_F(WifiDirectTest, IdleConnectedDrawAccumulatesWhileLinked) {
   const double after_disconnect = ue->radio.radio_charge().value;
   sim_.run_until(sim_.now() + seconds(3600));
   EXPECT_NEAR(ue->radio.radio_charge().value - after_disconnect, 0.0, 1e-6);
+}
+
+TEST_F(WifiDirectTest, StaticPairIsNeverPolled) {
+  sim_.set_audit_interval(1);
+  auto ue = TestPhone::at(sim_, medium_, 1, 0, 0);
+  auto relay = TestPhone::at(sim_, medium_, 2, 1, 0);
+  ue->radio.connect(NodeId{2}, [](Result<GroupId>) {});
+  sim_.run_until(sim_.now() + seconds(10));
+  ASSERT_TRUE(ue->radio.connected_to(NodeId{2}));
+
+  // Neither end can move, so the hour passes without a single range
+  // poll (two 1 Hz polls would be 7200 events).
+  const std::uint64_t before = sim_.executed_events();
+  sim_.run_until(sim_.now() + seconds(3600));
+  EXPECT_LE(sim_.executed_events() - before, 5u);
+  EXPECT_EQ(sim_.pending_events(), 0u);
+  EXPECT_TRUE(ue->radio.connected_to(NodeId{2}));
+  EXPECT_TRUE(relay->radio.connected_to(NodeId{1}));
+}
+
+TEST_F(WifiDirectTest, MovingLinkBreaksOnTheGridOfTheFirstLink) {
+  sim_.set_audit_interval(1);
+  auto relay = TestPhone::at(sim_, medium_, 1, 0, 0);
+  relay->radio.set_group_owner_intent(kMaxGroupOwnerIntent);
+  auto still = TestPhone::at(sim_, medium_, 2, 5, 0);
+  // 1.5 m/s from (0, 1): leaves the 30 m range at t ~ 19.99 s.
+  auto mover = walker(sim_, medium_, 3, {0.0, 1.0}, {1.5, 0.0});
+  still->radio.connect(NodeId{1}, [](Result<GroupId>) {});  // up at 2.5 s
+  sim_.run_until(TimePoint{} + seconds(3.2));
+  mover->radio.connect(NodeId{1}, [](Result<GroupId>) {});  // up at 5.7 s
+  sim_.run_until(TimePoint{} + seconds(10));
+  ASSERT_EQ(relay->radio.link_count(), 2u);
+
+  TimePoint broke{};
+  relay->radio.set_disconnect_handler([&](NodeId peer) {
+    EXPECT_EQ(peer, NodeId{3});
+    broke = sim_.now();
+  });
+  sim_.run_until(TimePoint{} + seconds(40));
+  // The relay's poll grid is anchored at its first (static) link, 2.5 s,
+  // so it catches the exit at 20.5 s, before the mover's own grid
+  // (5.7 s + k) would.
+  EXPECT_EQ(broke, TimePoint{} + seconds(20.5));
+  EXPECT_FALSE(mover->radio.connected_to(NodeId{1}));
+
+  // The static link survives and nothing polls any more.
+  EXPECT_TRUE(relay->radio.connected_to(NodeId{2}));
+  EXPECT_TRUE(still->radio.connected_to(NodeId{1}));
+  sim_.run_until(sim_.now() + seconds(5));
+  EXPECT_EQ(sim_.pending_events(), 0u);
+  const std::uint64_t before = sim_.executed_events();
+  sim_.run_until(sim_.now() + seconds(3600));
+  EXPECT_EQ(sim_.executed_events(), before);
+}
+
+TEST_F(WifiDirectTest, StaticRadioStartsPollingOnItsFirstMovingLink) {
+  sim_.set_audit_interval(1);
+  auto relay = TestPhone::at(sim_, medium_, 1, 0, 0);
+  relay->radio.set_group_owner_intent(kMaxGroupOwnerIntent);
+  auto still = TestPhone::at(sim_, medium_, 2, 5, 0);
+  auto mover = walker(sim_, medium_, 3, {0.0, 1.0}, {0.01, 0.0});
+  still->radio.connect(NodeId{1}, [](Result<GroupId>) {});
+  sim_.run_until(sim_.now() + seconds(10));
+  ASSERT_EQ(relay->radio.link_count(), 1u);
+  EXPECT_EQ(sim_.pending_events(), 0u);  // static link: no poll armed
+
+  mover->radio.connect(NodeId{1}, [](Result<GroupId>) {});
+  sim_.run_until(sim_.now() + seconds(10));
+  ASSERT_EQ(relay->radio.link_count(), 2u);
+  // One poll armed on each end of the moving link: the relay's and the
+  // mover's.
+  EXPECT_EQ(sim_.pending_events(), 2u);
+  const std::uint64_t before = sim_.executed_events();
+  sim_.run_until(sim_.now() + seconds(10));
+  EXPECT_EQ(sim_.executed_events() - before, 20u);
+}
+
+TEST_F(WifiDirectTest, DestroyedRadioLeavesNoLinkOnItsStaticPeer) {
+  auto ue = TestPhone::at(sim_, medium_, 1, 0, 0);
+  auto relay = TestPhone::at(sim_, medium_, 2, 1, 0);
+  ue->radio.connect(NodeId{2}, [](Result<GroupId>) {});
+  sim_.run_until(sim_.now() + seconds(10));
+  ASSERT_TRUE(relay->radio.connected_to(NodeId{1}));
+
+  bool notified = false;
+  relay->radio.set_disconnect_handler([&](NodeId) { notified = true; });
+  ue.reset();  // mid-run: the relay never polls its static link
+  EXPECT_EQ(relay->radio.link_count(), 0u);
+  EXPECT_FALSE(relay->radio.group().valid());
+  EXPECT_FALSE(notified);  // teardown runs no disconnect callbacks
+
+  // The medium audit (links to detached peers, poll armed iff moving)
+  // passes after every event, and the idle-connected draw has stopped.
+  sim_.set_audit_interval(1);
+  const double after = relay->radio.radio_charge().value;
+  sim_.run_until(sim_.now() + seconds(3600));
+  EXPECT_NO_THROW(medium_.audit());
+  EXPECT_NEAR(relay->radio.radio_charge().value - after, 0.0, 1e-6);
 }
 
 }  // namespace

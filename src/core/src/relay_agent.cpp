@@ -68,10 +68,12 @@ double RelayAgent::battery_level() {
 
 void RelayAgent::poll_battery() {
   if (!battery_ || retired_) return;
+  battery_->poll();  // the only place the depletion callback may fire
+  const double level = battery_->level();
   if (battery_sampler_ != nullptr) {
-    battery_sampler_->sample(sim_.now(), battery_->level());
+    battery_sampler_->sample(sim_.now(), level);
   }
-  if (battery_->level() <= params_.retire_battery_level) {
+  if (level <= params_.retire_battery_level) {
     retire();
     return;
   }

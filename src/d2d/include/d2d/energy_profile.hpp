@@ -6,13 +6,16 @@
 // shape (segments with relative weights) scaled so its integral hits the
 // paper's measured charge exactly; the shape only matters for the
 // Fig. 6 current trace, the integral for everything else.
+//
+// Applying a phase schedules no events: its segments become pending
+// current steps on the meter, which reads integrate on demand (see
+// energy_meter.hpp for the same-instant order rule).
 #pragma once
 
 #include <vector>
 
 #include "common/units.hpp"
 #include "energy/energy_meter.hpp"
-#include "sim/simulator.hpp"
 
 namespace d2dhb::d2d {
 
@@ -29,10 +32,10 @@ struct PhaseShape {
   double weighted_seconds() const;
 };
 
-/// Schedules the phase's segments as transient loads on `component`,
-/// with currents scaled so the phase integrates to exactly `target`.
-/// Returns the phase's total duration.
-Duration apply_phase(sim::Simulator& sim, energy::EnergyMeter& meter,
+/// Adds the phase's segments as transient loads on `component` starting
+/// now, with currents scaled so the phase integrates to exactly
+/// `target`. Returns the phase's total duration.
+Duration apply_phase(energy::EnergyMeter& meter,
                      energy::ComponentHandle component,
                      const PhaseShape& shape, MicroAmpHours target);
 

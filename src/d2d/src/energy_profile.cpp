@@ -19,7 +19,7 @@ double PhaseShape::weighted_seconds() const {
   return sum;
 }
 
-Duration apply_phase(sim::Simulator& sim, energy::EnergyMeter& meter,
+Duration apply_phase(energy::EnergyMeter& meter,
                      energy::ComponentHandle component,
                      const PhaseShape& shape, MicroAmpHours target) {
   const double denom = shape.weighted_seconds();
@@ -28,22 +28,16 @@ Duration apply_phase(sim::Simulator& sim, energy::EnergyMeter& meter,
   }
   // Scale factor k so that sum(k·w_i · d_i)/3.6 = target µAh.
   const double k = target.value * 3.6 / denom;
+  std::vector<energy::EnergyMeter::Load> loads;
+  loads.reserve(shape.segments.size());
   Duration offset{};
   for (const auto& seg : shape.segments) {
     const MilliAmps current{k * seg.weight};
-    if (current.value > 0.0) {
-      if (offset == Duration::zero()) {
-        meter.add_load(component, current, seg.duration);
-      } else {
-        sim.schedule_after(offset, [&meter, component, current,
-                                    d = seg.duration] {
-          meter.add_load(component, current, d);
-        });
-      }
-    }
+    if (current.value > 0.0) loads.push_back({offset, current, seg.duration});
     offset += seg.duration;
   }
-  return shape.total_duration();
+  meter.add_loads(component, loads);
+  return offset;
 }
 
 MicroAmpHours D2dEnergyProfile::send_charge(Bytes size, Meters d) const {

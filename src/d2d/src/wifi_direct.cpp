@@ -53,7 +53,7 @@ void WifiDirectRadio::set_group_owner_intent(int intent) {
 
 void WifiDirectRadio::charge_phase(const PhaseShape& shape,
                                    MicroAmpHours target) {
-  apply_phase(sim_, meter_, component_, shape, target);
+  apply_phase(meter_, component_, shape, target);
 }
 
 void WifiDirectRadio::update_idle_current() {

@@ -23,10 +23,14 @@ class Battery {
 
   MicroAmpHours capacity() const { return capacity_; }
   bool depleted() const { return depleted_; }
-  /// Remaining fraction in [0, 1].
+  /// Remaining fraction in [0, 1]. A pure read: only poll() fires the
+  /// depletion callback, so observing the level (a metrics snapshot, an
+  /// advert refresh) never changes the simulation.
   double level();
 
  private:
+  MicroAmpHours remaining();
+
   EnergyMeter& meter_;
   MicroAmpHours capacity_;
   std::function<void()> on_depleted_;

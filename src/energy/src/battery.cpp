@@ -9,19 +9,23 @@ Battery::Battery(EnergyMeter& meter, MicroAmpHours capacity,
                  std::function<void()> on_depleted)
     : meter_(meter), capacity_(capacity), on_depleted_(std::move(on_depleted)) {}
 
-MicroAmpHours Battery::poll() {
+MicroAmpHours Battery::remaining() {
   const MicroAmpHours used = meter_.total_charge();
-  const double remaining = std::max(0.0, capacity_.value - used.value);
-  if (!depleted_ && remaining <= 0.0) {
+  return MicroAmpHours{std::max(0.0, capacity_.value - used.value)};
+}
+
+MicroAmpHours Battery::poll() {
+  const MicroAmpHours left = remaining();
+  if (!depleted_ && left.value <= 0.0) {
     depleted_ = true;
     if (on_depleted_) on_depleted_();
   }
-  return MicroAmpHours{remaining};
+  return left;
 }
 
 double Battery::level() {
   if (capacity_.value <= 0.0) return 0.0;
-  return poll().value / capacity_.value;
+  return remaining().value / capacity_.value;
 }
 
 }  // namespace d2dhb::energy

@@ -1,5 +1,6 @@
 #include "energy/energy_meter.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <ostream>
 #include <stdexcept>
@@ -10,16 +11,38 @@ namespace d2dhb::energy {
 ComponentHandle EnergyMeter::register_component(std::string name,
                                                 MilliAmps initial) {
   components_.push_back(Component{std::move(name), initial, MicroAmpHours{},
-                                  sim_.now()});
+                                  sim_.now(), {}});
   return ComponentHandle{components_.size() - 1};
 }
 
-void EnergyMeter::settle(Component& c) {
-  const TimePoint now = sim_.now();
-  if (now > c.last_update) {
-    c.accumulated += integrate(c.current, now - c.last_update);
-    c.last_update = now;
+void EnergyMeter::advance(Component& c, TimePoint t) {
+  if (t > c.last_update) {
+    c.accumulated += integrate(c.current, t - c.last_update);
+    c.last_update = t;
   }
+}
+
+void EnergyMeter::apply_due(Component& c) {
+  const TimePoint now = sim_.now();
+  auto due = c.steps.begin();
+  for (; due != c.steps.end() && due->when <= now; ++due) {
+    advance(c, due->when);
+    c.current += due->delta;
+  }
+  c.steps.erase(c.steps.begin(), due);
+}
+
+void EnergyMeter::settle(Component& c) {
+  apply_due(c);
+  advance(c, sim_.now());
+}
+
+void EnergyMeter::push_step(Component& c, TimePoint when, MilliAmps delta) {
+  // After every step at the same instant: insertion order breaks ties.
+  const auto at = std::upper_bound(
+      c.steps.begin(), c.steps.end(), when,
+      [](TimePoint t, const Step& s) { return t < s.when; });
+  c.steps.insert(at, Step{when, delta});
 }
 
 void EnergyMeter::set_current(ComponentHandle component, MilliAmps current) {
@@ -30,29 +53,50 @@ void EnergyMeter::set_current(ComponentHandle component, MilliAmps current) {
 
 void EnergyMeter::add_load(ComponentHandle component, MilliAmps extra,
                            Duration duration) {
-  if (duration <= Duration::zero()) {
-    throw std::invalid_argument("EnergyMeter::add_load: duration must be > 0");
-  }
-  {
-    auto& c = components_.at(component.index);
-    settle(c);
-    c.current += extra;
-  }
-  sim_.schedule_after(duration, [this, component, extra] {
-    auto& c = components_.at(component.index);
-    settle(c);
-    c.current -= extra;
-  });
+  const Load load{Duration::zero(), extra, duration};
+  add_loads(component, std::span<const Load>{&load, 1});
 }
 
-MilliAmps EnergyMeter::instantaneous() const {
+void EnergyMeter::add_loads(ComponentHandle component,
+                            std::span<const Load> loads) {
+  auto& c = components_.at(component.index);
+  for (const Load& load : loads) {
+    if (load.duration <= Duration::zero()) {
+      throw std::invalid_argument(
+          "EnergyMeter::add_loads: duration must be > 0");
+    }
+  }
+  settle(c);
+  const TimePoint now = sim_.now();
+  for (const Load& load : loads) {
+    if (load.start > Duration::zero()) {
+      push_step(c, now + load.start, load.extra);
+    } else {
+      c.current += load.extra;
+      push_step(c, now + load.duration, MilliAmps{-load.extra.value});
+    }
+  }
+  for (const Load& load : loads) {
+    if (load.start > Duration::zero()) {
+      push_step(c, now + load.start + load.duration,
+                MilliAmps{-load.extra.value});
+    }
+  }
+}
+
+MilliAmps EnergyMeter::instantaneous() {
   MilliAmps sum;
-  for (const auto& c : components_) sum += c.current;
+  for (auto& c : components_) {
+    apply_due(c);
+    sum += c.current;
+  }
   return sum;
 }
 
-MilliAmps EnergyMeter::component_current(ComponentHandle component) const {
-  return components_.at(component.index).current;
+MilliAmps EnergyMeter::component_current(ComponentHandle component) {
+  auto& c = components_.at(component.index);
+  apply_due(c);
+  return c.current;
 }
 
 MicroAmpHours EnergyMeter::total_charge() {

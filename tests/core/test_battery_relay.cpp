@@ -123,5 +123,61 @@ TEST_F(BatteryRelayTest, LowBatteryRelayRejectedByCapacityPrejudgment) {
   EXPECT_GT(ue.stats().sent_via_cellular, 0u);
 }
 
+// Observing the battery must not change the run: a metrics snapshot
+// reads the battery.level gauge, and only the periodic poll may retire.
+TEST_F(BatteryRelayTest, SnapshotBetweenPollsDoesNotRetire) {
+  // ~31 uAh/s drains 4000 uAh by ~130 s; the only poll before 900 s is
+  // at 600 s.
+  RelayAgent::Params params = relay_params(4000.0);
+  params.retire_battery_level = 0.0;
+  params.battery_poll_interval = seconds(600);
+  struct Outcome {
+    bool retired_before_poll{false};
+    bool retired{false};
+    RelayAgent::Stats stats;
+    std::uint64_t delivered{0};
+    std::uint64_t events{0};
+  };
+  const auto run = [&](bool snapshot) {
+    scenario::Scenario world;
+    PhoneConfig pc;
+    pc.mobility = std::make_unique<mobility::StaticMobility>(
+        mobility::Vec2{0.0, 0.0});
+    Phone& phone = world.add_phone(std::move(pc));
+    RelayAgent& relay = world.add_relay(phone, params);
+    world.register_session(phone, 3 * seconds(30));
+    relay.start();
+    world.sim().run_until(TimePoint{} + seconds(400));
+    if (snapshot) {
+      const metrics::Snapshot snap = world.metrics_snapshot();
+      EXPECT_EQ(snap.gauge("battery.level", {phone.id().value, -1, "relay"}),
+                0.0);
+      EXPECT_EQ(relay.battery_level(), 0.0);
+    }
+    Outcome out;
+    out.retired_before_poll = relay.retired();
+    world.sim().run_until(TimePoint{} + seconds(900));
+    out.retired = relay.retired();
+    out.stats = relay.stats();
+    out.delivered =
+        world.server().stats(phone.id(), AppId{phone.id().value}).delivered;
+    out.events = world.sim().executed_events();
+    return out;
+  };
+  const Outcome observed = run(true);
+  const Outcome reference = run(false);
+  EXPECT_FALSE(observed.retired_before_poll);
+  EXPECT_TRUE(observed.retired);
+  EXPECT_EQ(observed.retired_before_poll, reference.retired_before_poll);
+  EXPECT_EQ(observed.retired, reference.retired);
+  EXPECT_EQ(observed.stats.own_heartbeats, reference.stats.own_heartbeats);
+  EXPECT_EQ(observed.stats.bundles_sent, reference.stats.bundles_sent);
+  EXPECT_EQ(observed.stats.heartbeats_uplinked,
+            reference.stats.heartbeats_uplinked);
+  EXPECT_GT(observed.delivered, 0u);
+  EXPECT_EQ(observed.delivered, reference.delivered);
+  EXPECT_EQ(observed.events, reference.events);
+}
+
 }  // namespace
 }  // namespace d2dhb::core

@@ -21,8 +21,7 @@ TEST(ApplyPhase, IntegratesToExactTarget) {
   energy::EnergyMeter meter{sim};
   const auto c = meter.register_component("wifi");
   const PhaseShape shape = D2dEnergyProfile::send_shape();
-  const Duration total =
-      apply_phase(sim, meter, c, shape, MicroAmpHours{73.09});
+  const Duration total = apply_phase(meter, c, shape, MicroAmpHours{73.09});
   EXPECT_EQ(total, shape.total_duration());
   sim.run_until(sim.now() + total + seconds(1));
   EXPECT_NEAR(meter.component_charge(c).value, 73.09, 1e-9);
@@ -32,7 +31,7 @@ TEST(ApplyPhase, RejectsZeroAreaShape) {
   sim::Simulator sim;
   energy::EnergyMeter meter{sim};
   const auto c = meter.register_component("wifi");
-  EXPECT_THROW(apply_phase(sim, meter, c, PhaseShape{}, MicroAmpHours{10.0}),
+  EXPECT_THROW(apply_phase(meter, c, PhaseShape{}, MicroAmpHours{10.0}),
                std::invalid_argument);
 }
 
@@ -40,8 +39,7 @@ TEST(ApplyPhase, SendShapeSpikesThenDecays) {
   sim::Simulator sim;
   energy::EnergyMeter meter{sim};
   const auto c = meter.register_component("wifi");
-  apply_phase(sim, meter, c, D2dEnergyProfile::send_shape(),
-              MicroAmpHours{73.09});
+  apply_phase(meter, c, D2dEnergyProfile::send_shape(), MicroAmpHours{73.09});
   // Sample the burst (inside 100..350 ms) and the decay (>350 ms).
   double burst = 0.0, decay = 0.0;
   sim.schedule_after(milliseconds(200),

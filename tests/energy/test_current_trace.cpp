@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/simulator.hpp"
 
 namespace d2dhb::energy {
@@ -35,6 +37,28 @@ TEST(CurrentTrace, CapturesTransientSpike) {
   double peak = 0.0;
   for (const auto& s : rec.samples()) peak = std::max(peak, s.current.value);
   EXPECT_DOUBLE_EQ(peak, 600.0);
+}
+
+// Reads are right-continuous: a sample taken exactly at a segment
+// boundary reads the segment that starts there.
+TEST(CurrentTrace, SampleAtSegmentBoundaryReadsStartingSegment) {
+  sim::Simulator sim;
+  EnergyMeter meter{sim};
+  const auto c = meter.register_component("radio", MilliAmps{100.0});
+  CurrentTraceRecorder rec{sim, meter, milliseconds(100)};
+  const std::vector<EnergyMeter::Load> loads{
+      {Duration::zero(), MilliAmps{50.0}, milliseconds(100)},
+      {milliseconds(100), MilliAmps{500.0}, milliseconds(200)}};
+  meter.add_loads(c, loads);
+  rec.start();
+  sim.run_until(TimePoint{} + milliseconds(400));
+  rec.stop();
+  ASSERT_EQ(rec.samples().size(), 5u);
+  EXPECT_DOUBLE_EQ(rec.samples()[0].current.value, 150.0);  // wake
+  EXPECT_DOUBLE_EQ(rec.samples()[1].current.value, 600.0);  // burst starts
+  EXPECT_DOUBLE_EQ(rec.samples()[2].current.value, 600.0);
+  EXPECT_DOUBLE_EQ(rec.samples()[3].current.value, 100.0);  // burst ended
+  EXPECT_DOUBLE_EQ(rec.samples()[4].current.value, 100.0);
 }
 
 TEST(CurrentTrace, SeriesConversion) {

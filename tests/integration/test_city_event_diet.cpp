@@ -1,9 +1,10 @@
 // Whole-scenario tripwire for the event diet: the city preset places
 // every phone statically, so no D2D link can leave range and no range
-// poll may ever be armed. A poll re-armed on static links multiplies
-// the event count several times over, so a ceiling on events per
-// simulated phone-hour catches it; the count is deterministic, so the
-// ceiling cannot flake.
+// poll may ever be armed, and energy phases schedule no events. A poll
+// re-armed on static links, or an event per energy-segment boundary,
+// multiplies the event count several times over, so a ceiling on
+// events per simulated phone-hour catches it; the count is
+// deterministic, so the ceiling cannot flake.
 #include <gtest/gtest.h>
 
 #include "scenario/city.hpp"
@@ -28,14 +29,15 @@ TEST(CityEventDiet, StaticCityNeverPollsLinks) {
   EXPECT_EQ(snap.counter_total("d2d.links_broken"), 0u);
   EXPECT_GT(m.forwarded_via_d2d, 0u);
 
-  // Measured: 143,212 events = 859.3 per phone-hour (startup-heavy at
+  // Measured: 10,739 events = 64.4 per phone-hour (startup-heavy at
   // 300 s: discovery and connection dominate). The ceiling leaves ~16%
-  // headroom. With range polls on the static links the same run is
-  // 418,203 events = 2,509.2 per phone-hour.
+  // headroom. With one kernel event per energy-segment boundary the
+  // same run is 143,212 events = 859.3 per phone-hour; with range polls
+  // on the static links as well, 418,203 events = 2,509.2.
   const double phone_h =
       static_cast<double>(m.phones) * config.duration_s / 3600.0;
   const double per_phone_h = static_cast<double>(m.sim_events) / phone_h;
-  EXPECT_LE(per_phone_h, 1000.0) << m.sim_events << " events";
+  EXPECT_LE(per_phone_h, 75.0) << m.sim_events << " events";
 }
 
 }  // namespace

@@ -12,8 +12,12 @@
 // every radio — the difference between O(population) and
 // O(neighbourhood) per scan at crowd scale — and it is the only scan
 // path. A strip's grid has the D2D range as its cell size, so one ring
-// of neighbour cells covers every scan, and it returns peers in
-// ascending NodeId order, so the RNG draws follow a fixed peer order.
+// of neighbour cells covers every static peer; moving peers are binned
+// with a Verlet skin (re-binned only once their speed bound says they
+// may have drifted a quarter cell) and tested at their exact position,
+// so a scan re-positions only its candidates and the nodes that are
+// due. The grid returns peers in ascending NodeId order, so the RNG
+// draws follow a fixed peer order.
 // Range-exit sweeps check each linked peer's distance directly, and
 // only radios holding a link with a moving end run them.
 //

@@ -8,6 +8,7 @@
 // for the high-density scenarios Section II-D motivates.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -39,6 +40,14 @@ class MobilityModel {
   /// the moving ones; a model may only report true if its position
   /// never changes.
   virtual bool is_static() const { return false; }
+  /// Upper bound on the node's speed: |p(t2) - p(t1)| <= bound *
+  /// |t2 - t1| for any two instants, up to the slack of µs-truncated
+  /// leg times (SpatialGrid pads its drift check for that). The world
+  /// index re-bins a moving node only once it may have drifted past its
+  /// skin; +infinity (no bound known) re-bins it at every new instant.
+  virtual double max_speed_mps() const {
+    return std::numeric_limits<double>::infinity();
+  }
 };
 
 /// Fixed position — the paper's bench-top experiments (devices at a set
@@ -48,6 +57,7 @@ class StaticMobility final : public MobilityModel {
   explicit StaticMobility(Vec2 position) : position_(position) {}
   Vec2 position_at(TimePoint) const override { return position_; }
   bool is_static() const override { return true; }
+  double max_speed_mps() const override { return 0.0; }
 
  private:
   Vec2 position_;
@@ -63,6 +73,7 @@ class LinearMobility final : public MobilityModel {
   Vec2 position_at(TimePoint t) const override {
     return start_ + velocity_ * to_seconds(t);
   }
+  double max_speed_mps() const override { return length(velocity_); }
 
  private:
   Vec2 start_;
@@ -84,6 +95,9 @@ class RandomWaypoint final : public MobilityModel {
 
   RandomWaypoint(Params params, Vec2 start, Rng rng);
   Vec2 position_at(TimePoint t) const override;
+  /// Legs draw their speed from [min_speed_mps, max_speed_mps], floored
+  /// at the 1e-9 m/s that leg timing uses.
+  double max_speed_mps() const override;
 
  private:
   struct Leg {
@@ -111,6 +125,7 @@ class OffsetMobility final : public MobilityModel {
     return leader_.position_at(t) + offset_;
   }
   bool is_static() const override { return leader_.is_static(); }
+  double max_speed_mps() const override { return leader_.max_speed_mps(); }
 
  private:
   const MobilityModel& leader_;
@@ -125,6 +140,7 @@ class DepartureMobility final : public MobilityModel {
   DepartureMobility(Vec2 start, Vec2 target, TimePoint depart_at,
                     double speed_mps);
   Vec2 position_at(TimePoint t) const override;
+  double max_speed_mps() const override;
   TimePoint arrival_time() const { return arrive_at_; }
 
  private:

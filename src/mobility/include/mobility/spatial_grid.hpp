@@ -12,10 +12,12 @@
 //    once; used for layout-time queries (relay selection, coverage
 //    accounting, cell-site attach).
 //  * SpatialGrid — NodeId-keyed index over live MobilityModel
-//    trajectories. Positions are cached and refreshed lazily, keyed on
-//    sim time (see refresh()): static nodes are binned once, moving
-//    nodes re-bin only when a query arrives at a new timestamp, so all
-//    queries within one event instant share a single refresh.
+//    trajectories. Static nodes are binned once at their exact
+//    position. Moving nodes are binned with a Verlet skin: a node is
+//    re-binned only once it may have drifted half a skin from where it
+//    was binned (its speed bound times the elapsed time), so a scan
+//    re-positions the few nodes that are due, not every moving node,
+//    and tests its moving candidates at their exact positions.
 #pragma once
 
 #include <cmath>
@@ -97,12 +99,34 @@ class PointGrid {
 ///    produces candidate sets.
 ///
 /// Refresh policy: `position_at` is authoritative and is what queries
-/// compare against; the cached cell binning is refreshed lazily when a
-/// query's (time, epoch) key differs from the cache's. Nodes whose
-/// model reports `is_static()` are binned once on insert and never
-/// touched again; only moving nodes pay the per-timestamp re-bin.
+/// compare against. Nodes whose model reports `is_static()` are binned
+/// once, at their exact position, in the static cells. A moving node
+/// sits in the moving cells at the position it had when it was last
+/// binned, and carries a re-bin deadline: the last µs at which
+/// `max_speed_mps() * (t - binned_at)` stays within the half-skin
+/// h = kHalfSkinCells * cell size. A min-heap of deadlines lets a query
+/// at a new (time, epoch) re-bin only the nodes that are due; heap
+/// entries are dropped lazily once their slot's deadline has moved on.
+/// A model with no speed bound gets deadline = binned_at and is
+/// re-binned at every new instant, on the same path.
+///
+/// Queries test static candidates against their cached (exact)
+/// positions within the exact reach r, and moving candidates from the
+/// cells covering r plus the padded skin at their exact `position_at`.
+/// Both tests use the brute-force `distance` arithmetic and the hits
+/// are sorted by NodeId, so the admitted set and its order do not
+/// depend on when a node was last binned.
 class SpatialGrid {
  public:
+  /// Half-skin as a fraction of the cell size: a moving node is
+  /// re-binned once it may have drifted this far from its bin position.
+  static constexpr double kHalfSkinCells = 0.25;
+  /// Padding of the drift bound (relative, and absolute in meters): leg
+  /// times are truncated to whole µs, so a leg runs a hair faster than
+  /// its nominal speed, and interpolation rounds.
+  static constexpr double kDriftRel = 1e-6;
+  static constexpr double kDriftAbsM = 1e-3;
+
   explicit SpatialGrid(Meters cell_size);
 
   void insert(NodeId node, const MobilityModel& model);
@@ -126,39 +150,65 @@ class SpatialGrid {
   /// `center` at time `t`, sorted by NodeId ascending. `out` is
   /// cleared first. `epoch` keys the lazy refresh — pass the
   /// simulator's time epoch so repeated queries within one event
-  /// instant skip the re-bin (see sim::Simulator::time_epoch()).
+  /// instant skip the deadline check (see sim::Simulator::time_epoch()).
   void query_radius(Vec2 center, Meters radius, TimePoint t,
                     std::uint64_t epoch, std::vector<Neighbor>& out,
                     NodeId exclude = NodeId::invalid()) const;
 
-  /// Number of nodes (minus `exclude`) within `radius` of `center`.
-  std::size_t count_within(Vec2 center, Meters radius, TimePoint t,
-                           std::uint64_t epoch,
-                           NodeId exclude = NodeId::invalid()) const;
-
   /// Invariant audit (the D2DHB_AUDIT layer): refreshes to (t, epoch)
-  /// and verifies cache freshness and binning consistency — every
-  /// cached position matches its model at t, every slot's cell key
-  /// matches its cached position, every active node sits in exactly one
-  /// bucket (the right one), and `moving_` lists exactly the non-static
-  /// active nodes. Throws std::logic_error naming the violation.
+  /// and verifies the skin and the binning — every static node's cached
+  /// position equals its model at t; every moving node is within the
+  /// padded half-skin of its cached position, is not past its re-bin
+  /// deadline, and has a live heap entry for it; the deadline heap is a
+  /// heap; every active node sits exactly once in the bucket of its
+  /// cached position, in the right (static or moving) cells. Throws
+  /// std::logic_error naming the violation.
   void audit(TimePoint t, std::uint64_t epoch) const;
 
  private:
   struct Slot {
     const MobilityModel* model{nullptr};
+    /// Static: the exact position. Moving: the position at binning.
+    /// The node's bucket is the cell of this position.
     Vec2 cached{};
-    std::uint64_t cell{0};
+    /// Moving: last instant the bin is within the half-skin; static
+    /// nodes (and moving ones that can never drift) hold max().
+    TimePoint deadline{TimePoint::max()};
     bool is_static{false};
+  };
+  /// One heap entry: re-bin `id` after `deadline` (live while the slot
+  /// still holds this deadline).
+  struct Due {
+    TimePoint deadline;
+    std::uint32_t id;
+    bool operator>(const Due& o) const { return deadline > o.deadline; }
   };
 
   Slot* slot_of(NodeId node);
   const Slot* slot_of(NodeId node) const;
-  void bin(std::uint64_t id, Slot& slot, Vec2 at);
-  void unbin(std::uint64_t id, Slot& slot);
+  std::uint64_t cell_of(Vec2 at) const;
+  std::vector<std::uint32_t>& bucket_of(const Slot& slot);
+  /// Sets a moving node's re-bin deadline and queues it on the heap.
+  void schedule(std::uint32_t id, TimePoint binned_at) const;
+  /// Moves a moving node's bin to its exact position at `t` and
+  /// schedules its next re-bin.
+  void rebin(std::uint32_t id, TimePoint t) const;
+  TimePoint deadline_after(TimePoint binned_at, double max_speed) const;
   void refresh(TimePoint t, std::uint64_t epoch) const;
+  /// Calls `visit(id)` for every node binned in `cells` that overlap
+  /// the square of half-width `reach` around `center`.
+  template <typename Visit>
+  void visit_cells(
+      // detlint: allow(unordered-state): key-only lookups, never iterated.
+      const std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>&
+          cells,
+      Vec2 center, double reach, Visit&& visit) const;
 
   double cell_size_;
+  double half_skin_;
+  /// The half-skin padded by kDriftRel/kDriftAbsM: how far a moving
+  /// node may be from its bin position before its deadline passes.
+  double skin_reach_;
   std::size_t active_{0};
   /// Dense slot table indexed by NodeId value (ids are contiguous from
   /// 1 in every scenario, so this is a flat array, not a hash).
@@ -166,10 +216,13 @@ class SpatialGrid {
   // detlint: allow(unordered-state): key-only lookups; every query
   // sorts its hits by NodeId before returning, so bucket layout never
   // reaches sim-visible state (see determinism rules above).
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
+      static_cells_;
+  // detlint: allow(unordered-state): same rule as static_cells_.
   mutable std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
-      buckets_;
-  /// Ids of nodes whose model is not static — the only ones refreshed.
-  mutable std::vector<std::uint32_t> moving_;
+      moving_cells_;
+  /// Min-heap (std::greater) of moving nodes' re-bin deadlines.
+  mutable std::vector<Due> due_;
   mutable TimePoint cached_time_{};
   mutable std::uint64_t cached_epoch_{0};
   mutable bool cache_primed_{false};

@@ -33,6 +33,10 @@ void RandomWaypoint::extend_to(TimePoint t) const {
   }
 }
 
+double RandomWaypoint::max_speed_mps() const {
+  return std::max({params_.min_speed_mps, params_.max_speed_mps, 1e-9});
+}
+
 Vec2 RandomWaypoint::position_at(TimePoint t) const {
   extend_to(t);
   // Binary search for the leg containing t.
@@ -57,6 +61,10 @@ DepartureMobility::DepartureMobility(Vec2 start, Vec2 target,
   const double travel_s =
       length(target - start) / std::max(speed_mps, 1e-9);
   arrive_at_ = depart_at + seconds(travel_s);
+}
+
+double DepartureMobility::max_speed_mps() const {
+  return std::max(speed_mps_, 1e-9);
 }
 
 Vec2 DepartureMobility::position_at(TimePoint t) const {

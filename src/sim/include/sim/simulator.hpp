@@ -82,8 +82,9 @@ class Simulator {
 
   /// Monotone counter bumped whenever simulated time advances — the
   /// refresh key for time-lazy caches (the mobility::SpatialGrid world
-  /// index re-bins moving nodes at most once per epoch, so every
-  /// proximity query within one event instant shares a single refresh).
+  /// index checks its moving nodes' re-bin deadlines at most once per
+  /// epoch, so every proximity query within one event instant shares a
+  /// single refresh).
   /// On a worker thread this is the executing kernel's epoch; epochs
   /// only key caches together with the query time, so kernel-local and
   /// world-level epochs are interchangeable (time equality is what

@@ -217,7 +217,10 @@ TEST_F(MediumTest, UnknownNodeErrorsNameTheNode) {
 /// A seeded random world of 60 radios on one strip, 90 m square (three
 /// ranges, so scans see partial neighbourhoods), a third of them
 /// silent and some advertising relay capacity. Every radio scans at
-/// each of several times and every scan must equal the oracle's.
+/// each of several times and every scan must equal the oracle's. The
+/// mobile arm adds a scan every 0.25 s for 20 s: walkers re-bin every
+/// 5 s at most (half-skin 7.5 m at 1.5 m/s), so scans land both inside
+/// and past their re-bin deadlines.
 void expect_scans_match_oracle(bool mobile, std::uint64_t seed) {
   constexpr double kArea = 90.0;
   sim::Simulator sim;
@@ -243,7 +246,11 @@ void expect_scans_match_oracle(bool mobile, std::uint64_t seed) {
         RelayAdvert{id % 4 == 0, static_cast<std::uint32_t>(id % 7)});
   }
   Rng lane{seed};  // a one-strip medium's only lane keeps its own rng
-  for (const double at_s : {0.0, 7.0, 60.0, 300.0, 900.0}) {
+  std::vector<double> instants{0.0, 7.0, 60.0, 300.0, 900.0};
+  for (int step = 1; mobile && step <= 80; ++step) {
+    instants.push_back(900.0 + 0.25 * step);
+  }
+  for (const double at_s : instants) {
     sim.run_until(TimePoint{} + seconds(at_s));
     for (std::uint64_t id = 1; id <= phones.size(); ++id) {
       const auto expected =

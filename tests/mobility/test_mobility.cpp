@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
+#include "common/rng.hpp"
+#include "mobility/spatial_grid.hpp"
+
 namespace d2dhb::mobility {
 namespace {
 
@@ -97,6 +105,105 @@ TEST(RandomWaypoint, SpeedBounded) {
     EXPECT_LE(length(cur - prev), 1.5 + 1e-6);
     prev = cur;
   }
+}
+
+// ---------------------------------------------------------------------------
+// max_speed_mps(): the bound SpatialGrid's skin rests on
+// ---------------------------------------------------------------------------
+
+/// Samples pairs of instants over [0, horizon] — gaps from 1 µs up to a
+/// tenth of the horizon — and checks |p(t2) - p(t1)| against the
+/// model's speed bound, padded exactly as SpatialGrid pads its drift
+/// check (µs-truncated leg times run a hair faster than nominal).
+void expect_speed_bound_holds(const MobilityModel& m, double horizon_s,
+                              Rng& rng, const std::string& what) {
+  const double vmax = m.max_speed_mps();
+  ASSERT_TRUE(std::isfinite(vmax)) << what;
+  const auto horizon_us = static_cast<std::uint64_t>(horizon_s * 1e6);
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t gap_us =
+        i % 2 == 0 ? rng.uniform_int(1, 20)
+                   : rng.uniform_int(1, horizon_us / 10);
+    const std::uint64_t t1_us = rng.uniform_int(0, horizon_us - gap_us);
+    const TimePoint t1 = TimePoint{} + microseconds(
+                                           static_cast<std::int64_t>(t1_us));
+    const TimePoint t2 =
+        t1 + microseconds(static_cast<std::int64_t>(gap_us));
+    const double moved = distance(m.position_at(t1), m.position_at(t2)).value;
+    const double bound =
+        vmax * to_seconds(t2 - t1) * (1.0 + SpatialGrid::kDriftRel) +
+        SpatialGrid::kDriftAbsM;
+    ASSERT_LE(moved, bound) << what << ": t1=" << t1_us << " us, gap "
+                            << gap_us << " us";
+  }
+}
+
+TEST(MaxSpeed, StaticAndLinearBounds) {
+  EXPECT_EQ(StaticMobility({3.0, 4.0}).max_speed_mps(), 0.0);
+  EXPECT_DOUBLE_EQ(LinearMobility({0.0, 0.0}, {3.0, -4.0}).max_speed_mps(),
+                   5.0);
+  Rng rng{5};
+  for (int trial = 0; trial < 20; ++trial) {
+    const LinearMobility m{{rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)},
+                           {rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)}};
+    expect_speed_bound_holds(m, 600.0, rng,
+                             "linear trial " + std::to_string(trial));
+  }
+}
+
+/// Random legs over areas from sub-µm (every leg's travel time truncates
+/// to 0 µs: the node jumps) through µm and mm (travel times of a few
+/// µs, truncated by up to one) to crowd scale.
+TEST(MaxSpeed, RandomWaypointBoundsEveryLeg) {
+  Rng rng{77};
+  for (const double area : {1e-7, 5e-6, 1e-3, 0.5, 40.0, 900.0}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      RandomWaypoint::Params params;
+      params.area_max = {area, area};
+      params.min_speed_mps = rng.uniform(0.1, 1.0);
+      params.max_speed_mps = params.min_speed_mps + rng.uniform(0.0, 2.0);
+      params.max_pause = seconds(rng.uniform(0.001, 2.0));
+      const RandomWaypoint m{params,
+                             {rng.uniform(0.0, area), rng.uniform(0.0, area)},
+                             rng.fork()};
+      EXPECT_EQ(m.max_speed_mps(), params.max_speed_mps);
+      expect_speed_bound_holds(m, 60.0, rng,
+                               "waypoint area " + std::to_string(area) +
+                                   " trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(MaxSpeed, DepartureAndOffsetBounds) {
+  Rng rng{31};
+  for (int trial = 0; trial < 20; ++trial) {
+    const double speed = rng.uniform(0.2, 3.0);
+    // Trip lengths from sub-µm to a stadium's width.
+    const double trip = std::pow(10.0, rng.uniform(-7.0, 2.5));
+    const Vec2 start{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+    const DepartureMobility leaving{
+        start, start + Vec2{trip, trip * rng.uniform(-1.0, 1.0)},
+        TimePoint{} + seconds(rng.uniform(0.0, 30.0)), speed};
+    EXPECT_EQ(leaving.max_speed_mps(), speed);
+    expect_speed_bound_holds(leaving, 300.0, rng,
+                             "departure trial " + std::to_string(trial));
+
+    RandomWaypoint::Params params;
+    params.area_max = {60.0, 60.0};
+    const RandomWaypoint leader{params, {30.0, 30.0}, rng.fork()};
+    const OffsetMobility member{leader, {rng.uniform(-2.0, 2.0), 1.0}};
+    EXPECT_EQ(member.max_speed_mps(), leader.max_speed_mps());
+    expect_speed_bound_holds(member, 300.0, rng,
+                             "offset trial " + std::to_string(trial));
+  }
+}
+
+TEST(MaxSpeed, UnknownModelsHaveNoBound) {
+  struct Teleporter final : MobilityModel {
+    Vec2 position_at(TimePoint) const override { return {}; }
+  };
+  EXPECT_EQ(Teleporter{}.max_speed_mps(),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(ClusteredCrowd, GeneratesRequestedCount) {

@@ -163,9 +163,6 @@ TEST(SpatialGrid, MatchesBruteForceOnStaticAndWaypointLayouts) {
           EXPECT_EQ(got[i].node, expected[i].node);
           EXPECT_DOUBLE_EQ(got[i].distance.value, expected[i].distance.value);
         }
-        EXPECT_EQ(
-            world.grid.count_within(center, radius, t, epoch, exclude),
-            expected.size());
       }
     }
   }
@@ -227,6 +224,108 @@ TEST(SpatialGrid, MovingNodeCrossesCells) {
                     got);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].node, NodeId{1});
+}
+
+/// A node that crosses a cell border between two queries well inside
+/// its re-bin deadline (half-skin 7.5 m at 1.5 m/s: 5 s) is still
+/// binned in its old cell, yet is found at its new place and not at
+/// its old one.
+TEST(SpatialGrid, CellCrossingBeforeItsDeadlineIsFoundAtItsNewPlace) {
+  SpatialGrid grid{Meters{30.0}};
+  LinearMobility walker{{29.5, 10.0}, {1.5, 0.0}};  // border x = 30 at 1/3 s
+  StaticMobility anchor{{29.5, 10.0}};
+  grid.insert(NodeId{1}, walker);
+  grid.insert(NodeId{2}, anchor);
+  std::vector<SpatialGrid::Neighbor> got;
+  grid.query_radius({29.5, 10.0}, Meters{0.5}, TimePoint{}, 1, got, NodeId{2});
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].node, NodeId{1});
+
+  const TimePoint later = TimePoint{} + seconds(1);  // x = 31, next cell
+  grid.query_radius({29.5, 10.0}, Meters{1.0}, later, 2, got, NodeId{2});
+  EXPECT_TRUE(got.empty());
+  grid.query_radius({31.0, 10.0}, Meters{0.5}, later, 2, got);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].node, NodeId{1});
+  EXPECT_EQ(got[0].distance.value, 0.0);
+  EXPECT_NO_THROW(grid.audit(later, 2));
+}
+
+/// Nodes inserted or removed between two queries of one (time, epoch)
+/// key, where the second query skips the refresh: the newcomer is
+/// binned at the cached instant and found, the removed node is gone.
+TEST(SpatialGrid, InsertAndRemoveWithinOneInstantAreSeenByTheNextQuery) {
+  SpatialGrid grid{Meters{30.0}};
+  LinearMobility walker{{0.0, 0.0}, {1.5, 0.0}};
+  LinearMobility newcomer{{100.0, 0.0}, {-1.5, 0.0}};
+  grid.insert(NodeId{1}, walker);
+  const TimePoint t = TimePoint{} + seconds(20);  // walker at x = 30
+  std::vector<SpatialGrid::Neighbor> got;
+  grid.query_radius({40.0, 0.0}, Meters{15.0}, t, 7, got);
+  ASSERT_EQ(got.size(), 1u);
+  grid.insert(NodeId{2}, newcomer);  // at x = 70 at t
+  grid.remove(NodeId{1});
+  grid.query_radius({60.0, 0.0}, Meters{40.0}, t, 7, got);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].node, NodeId{2});
+  EXPECT_EQ(got[0].distance.value, 10.0);
+  EXPECT_NO_THROW(grid.audit(t, 7));
+}
+
+/// Jumps to a fresh pseudo-random spot every 0.1 s: no finite speed
+/// bounds it, and it keeps the default max_speed_mps() (+infinity).
+class Teleporter final : public MobilityModel {
+ public:
+  Teleporter(double area, std::uint64_t seed) : area_(area), seed_(seed) {}
+  Vec2 position_at(TimePoint t) const override {
+    Rng hop{seed_ ^ static_cast<std::uint64_t>(t.time_since_epoch().count() /
+                                               100000)};
+    return {hop.uniform(0.0, area_), hop.uniform(0.0, area_)};
+  }
+
+ private:
+  double area_;
+  std::uint64_t seed_;
+};
+
+/// Models without a speed bound are re-binned at every new instant on
+/// the same path as everyone else, so dense queries over a mix of
+/// static, waypoint and teleporting nodes still match brute force.
+TEST(SpatialGrid, ModelWithoutSpeedBoundMatchesBruteForce) {
+  Rng rng{404};
+  World world;
+  const double area = 120.0;
+  for (int i = 0; i < 30; ++i) {
+    const Vec2 start{rng.uniform(0.0, area), rng.uniform(0.0, area)};
+    if (i % 3 == 0) {
+      world.add(std::make_unique<Teleporter>(area, rng.next_u64()));
+    } else if (i % 3 == 1) {
+      world.add(std::make_unique<StaticMobility>(start));
+    } else {
+      RandomWaypoint::Params params;
+      params.area_max = {area, area};
+      params.max_speed_mps = 3.0;
+      world.add(std::make_unique<RandomWaypoint>(params, start, rng.fork()));
+    }
+  }
+  std::vector<SpatialGrid::Neighbor> got;
+  std::uint64_t epoch = 0;
+  for (int step = 0; step <= 200; ++step) {
+    const TimePoint t = TimePoint{} + milliseconds(50 * step);
+    ++epoch;
+    for (int q = 0; q < 4; ++q) {
+      const Vec2 center{rng.uniform(0.0, area), rng.uniform(0.0, area)};
+      const Meters radius{rng.uniform(5.0, 40.0)};
+      world.grid.query_radius(center, radius, t, epoch, got);
+      const auto expected = world.brute(center, radius, t, NodeId::invalid());
+      ASSERT_EQ(got.size(), expected.size()) << "step " << step;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].node, expected[i].node);
+        EXPECT_EQ(got[i].distance.value, expected[i].distance.value);
+      }
+    }
+    EXPECT_NO_THROW(world.grid.audit(t, epoch));
+  }
 }
 
 TEST(SpatialGrid, PositionIsExactNeverCached) {

@@ -170,6 +170,25 @@ TEST(SpatialGridAudit, HealthyGridPassesAcrossMovementAndRemoval) {
   EXPECT_NO_THROW(grid.audit(TimePoint{} + seconds(70), 70));
 }
 
+/// A walker that claims a tenth of its real speed: the grid trusts the
+/// claim, so the node drifts past its skin before its re-bin deadline
+/// and scans could miss it. The audit's drift check must say so.
+TEST(SpatialGridAudit, CatchesAModelThatOutrunsItsSpeedBound) {
+  struct Understated final : mobility::MobilityModel {
+    mobility::LinearMobility walk{mobility::Vec2{0.0, 0.0},
+                                  mobility::Vec2{1.5, 0.0}};
+    mobility::Vec2 position_at(TimePoint t) const override {
+      return walk.position_at(t);
+    }
+    double max_speed_mps() const override { return 0.15; }
+  };
+  mobility::SpatialGrid grid(Meters{30.0});  // half-skin 7.5 m
+  Understated liar;
+  grid.insert(NodeId{1}, liar);
+  EXPECT_NO_THROW(grid.audit(TimePoint{} + seconds(4), 1));  // 6 m
+  EXPECT_THROW(grid.audit(TimePoint{} + seconds(10), 2), std::logic_error);
+}
+
 class MediumAuditTest : public ::testing::Test {
  protected:
   struct Phone {

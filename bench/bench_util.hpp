@@ -91,23 +91,6 @@ inline bool has_flag(int argc, char** argv, const char* name) {
   return false;
 }
 
-/// Value of `--name X` as a string; empty when the flag is absent.
-inline std::string flag_value(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return {};
-}
-
-/// Value of `--name X` parsed as a double; `fallback` when absent.
-inline double flag_number(int argc, char** argv, const char* name,
-                          double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
 /// Writes the snapshot report when a --metrics-out path was given
 /// (format by extension, like metrics::write_report).
 inline void emit_metrics(const metrics::NamedSnapshots& sections,

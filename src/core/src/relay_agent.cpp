@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "common/tracelog.hpp"
 #include "d2d/wifi_direct.hpp"
 
 namespace d2dhb::core {
@@ -83,8 +82,6 @@ void RelayAgent::poll_battery() {
 void RelayAgent::retire() {
   if (retired_) return;
   retired_ = true;
-  trace(sim_.now(), TraceCategory::agent, phone_.id(),
-        "relay retired (battery)");
   stop();
   if (battery_poll_) battery_poll_->stop();
   if (battery_ && battery_->depleted()) {
@@ -160,9 +157,6 @@ void RelayAgent::on_flush(std::vector<net::HeartbeatMessage> batch,
   D2DHB_LOG(debug) << "relay " << phone_.id().value << " flush ("
                    << to_string(reason) << "): " << batch.size()
                    << " heartbeats";
-  trace(sim_.now(), TraceCategory::scheduler, phone_.id(),
-        std::string("flush (") + to_string(reason) + "): " +
-            std::to_string(batch.size()) + " heartbeats");
   net::UplinkBundle bundle;
   bundle.sender = phone_.id();
   bundle.messages = std::move(batch);

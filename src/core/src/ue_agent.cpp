@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "common/tracelog.hpp"
 #include "d2d/wifi_direct.hpp"
 
 namespace d2dhb::core {
@@ -21,9 +20,6 @@ UeAgent::UeAgent(sim::Simulator& sim, Phone& phone, Params params,
           sim, params.feedback_timeout,
           [this](const net::HeartbeatMessage& m) {
             fallback_cellular_ctr_->inc();
-            trace(sim_.now(), TraceCategory::agent, phone_.id(),
-                  "fallback to cellular (heartbeat " +
-                      std::to_string(m.id.value) + ")");
             send_via_cellular(m, /*is_fallback=*/true);
           },
           phone.id()),
@@ -123,9 +119,6 @@ void UeAgent::on_discovery(const std::vector<d2d::DiscoveredPeer>& peers) {
     return;
   }
   matches_ctr_->inc();
-  trace(sim_.now(), TraceCategory::agent, phone_.id(),
-        "matched relay #" + std::to_string(choice->node.value) + " at ~" +
-            std::to_string(choice->estimated_distance.value) + " m");
   state_ = LinkState::connecting;
   phone_.wifi().connect(choice->node, [this, relay = choice->node](
                                           Result<GroupId> result) {
@@ -220,8 +213,6 @@ void UeAgent::on_link_lost(NodeId peer) {
       }
       connects_ctr_->inc();
       handovers_ctr_->inc();
-      trace(sim_.now(), TraceCategory::agent, phone_.id(),
-            "handover to relay #" + std::to_string(target.value));
       state_ = LinkState::connected;
       relay_ = target;
       current_backoff_ = Duration::zero();

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "common/tracelog.hpp"
 
 namespace d2dhb::d2d {
 
@@ -162,10 +161,6 @@ const WifiDirectRadio::Link* WifiDirectRadio::find_link(NodeId peer) const {
 
 void WifiDirectRadio::establish_link(NodeId peer, GroupId group,
                                      bool as_owner, bool moving) {
-  trace(sim_.now(), TraceCategory::d2d, owner_,
-        "link up with #" + std::to_string(peer.value) + " (group " +
-            std::to_string(group.value) +
-            (as_owner ? ", owner)" : ", client)"));
   const auto it = std::lower_bound(
       links_.begin(), links_.end(), peer,
       [](const Link& l, NodeId p) { return l.peer < p; });
@@ -193,8 +188,6 @@ bool WifiDirectRadio::drop_link(NodeId peer) {
       links_.begin(), links_.end(), peer,
       [](const Link& l, NodeId p) { return l.peer < p; });
   if (it == links_.end() || it->peer != peer) return false;
-  trace(sim_.now(), TraceCategory::d2d, owner_,
-        "link down with #" + std::to_string(peer.value));
   links_.erase(it);
   links_broken_ctr_->inc();
   if (links_.empty()) {

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "common/tracelog.hpp"
-
 namespace d2dhb::radio {
 
 const char* to_string(RrcState s) {
@@ -53,8 +51,6 @@ MilliAmps CellularModem::state_current(RrcState s) const {
 
 void CellularModem::enter(RrcState next) {
   if (next != state_) {
-    trace(sim_.now(), TraceCategory::rrc, owner_,
-          std::string(to_string(state_)) + " -> " + to_string(next));
     transitions_ctr_->inc();
     state_sampler_->sample(sim_.now(), static_cast<double>(next));
   }

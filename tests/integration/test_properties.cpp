@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -98,8 +99,9 @@ TEST_P(DistanceSweepTest, EnergyGrowsWithDistanceButDeliveryHolds) {
 INSTANTIATE_TEST_SUITE_P(Distances, DistanceSweepTest,
                          ::testing::Values(1.0, 3.0, 5.0, 10.0, 15.0),
                          [](const ::testing::TestParamInfo<double>& info) {
-                           return "d" + std::to_string(static_cast<int>(
-                                            info.param));
+                           std::string name = "d";
+                           name += std::to_string(static_cast<int>(info.param));
+                           return name;
                          });
 
 class SizeSweepTest : public ::testing::TestWithParam<std::uint32_t> {};
@@ -122,7 +124,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweepTest,
                          ::testing::Values(54u, 108u, 162u, 216u, 270u),
                          [](const ::testing::TestParamInfo<std::uint32_t>&
                                 info) {
-                           return "b" + std::to_string(info.param);
+                           std::string name = "b";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(Probes, PhaseEnergiesMatchTableIII) {
